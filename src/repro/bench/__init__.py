@@ -86,7 +86,7 @@ from .stats import TrialStats, percentile, trial_stats
 # importing the suites registers the built-in benchmarks
 from . import suites  # noqa: F401  (registration side effect)
 from . import efficiency  # noqa: F401  (registers efficiency_sweep)
-from .efficiency import per_regime_efficiency
+from ..telemetry.efficiency import per_regime_efficiency
 
 __all__ = [
     "SCHEMA",

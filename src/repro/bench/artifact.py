@@ -15,7 +15,9 @@ store (:mod:`repro.bench.history`): ``seed`` (the ``--seed`` override
 applied to every benchmark's workload), ``tag`` (a free-form label
 such as ``post-vectorise``) and ``exec_backend`` (the
 ``--exec-backend`` override applied to every benchmark that dispatches
-rank compute).  All are validated when present.
+rank compute).  All are validated when present, and so is every
+observatory section an entry carries, by its registered validator
+(:data:`repro.telemetry.observatory.OBSERVATORIES`).
 """
 
 from __future__ import annotations
@@ -24,15 +26,8 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..parallel.ledger import COMM_LEDGER_SCHEMA
-from ..telemetry import (
-    EfficiencyError,
-    RankError,
-    SignatureError,
-    validate_efficiency,
-    validate_rank_section,
-    validate_signature_summary,
-)
+from ..io.documents import atomic_write, read_json, require_keys
+from ..telemetry.observatory import OBSERVATORIES
 
 #: Bump on breaking layout changes; the comparator refuses mismatches.
 SCHEMA = "repro.bench/1"
@@ -51,9 +46,7 @@ def validate_artifact(obj: Any, source: str = "artifact") -> dict[str, Any]:
     """Check ``obj`` against the schema; returns it on success."""
     if not isinstance(obj, dict):
         raise ArtifactError(f"{source}: artifact root must be an object")
-    for key in _REQUIRED_ROOT_KEYS:
-        if key not in obj:
-            raise ArtifactError(f"{source}: missing required key {key!r}")
+    require_keys(obj, _REQUIRED_ROOT_KEYS, source, ArtifactError)
     if obj["schema"] != SCHEMA:
         raise ArtifactError(
             f"{source}: schema {obj['schema']!r} not supported (need {SCHEMA!r})"
@@ -61,17 +54,12 @@ def validate_artifact(obj: Any, source: str = "artifact") -> dict[str, Any]:
     seed = obj.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ArtifactError(f"{source}: 'seed' must be an integer when present")
-    tag = obj.get("tag")
-    if tag is not None and not isinstance(tag, str):
-        raise ArtifactError(f"{source}: 'tag' must be a string when present")
-    notes = obj.get("notes")
-    if notes is not None and not isinstance(notes, str):
-        raise ArtifactError(f"{source}: 'notes' must be a string when present")
-    exec_backend = obj.get("exec_backend")
-    if exec_backend is not None and not isinstance(exec_backend, str):
-        raise ArtifactError(
-            f"{source}: 'exec_backend' must be a string when present"
-        )
+    for key in ("tag", "notes", "exec_backend"):
+        value = obj.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ArtifactError(
+                f"{source}: {key!r} must be a string when present"
+            )
     benchmarks = obj["benchmarks"]
     if not isinstance(benchmarks, list) or not benchmarks:
         raise ArtifactError(f"{source}: 'benchmarks' must be a non-empty list")
@@ -79,70 +67,27 @@ def validate_artifact(obj: Any, source: str = "artifact") -> dict[str, Any]:
     for i, entry in enumerate(benchmarks):
         if not isinstance(entry, dict):
             raise ArtifactError(f"{source}: benchmarks[{i}] must be an object")
-        for key in _REQUIRED_BENCH_KEYS:
-            if key not in entry:
-                raise ArtifactError(
-                    f"{source}: benchmarks[{i}] missing required key {key!r}"
-                )
+        require_keys(entry, _REQUIRED_BENCH_KEYS, source, ArtifactError,
+                     f"benchmarks[{i}] ")
         name = entry["name"]
         if name in seen:
             raise ArtifactError(f"{source}: duplicate benchmark name {name!r}")
         seen.add(name)
-        trials = entry["trials"]
-        if not isinstance(trials, dict) or "wall_s" not in trials:
-            raise ArtifactError(
-                f"{source}: benchmarks[{i}] trials must carry a 'wall_s' list"
-            )
-        stats = entry["stats"]
-        if not isinstance(stats, dict) or "wall_s" not in stats:
-            raise ArtifactError(
-                f"{source}: benchmarks[{i}] stats must carry a 'wall_s' summary"
-            )
-        phases = entry["phases"]
-        if not isinstance(phases, dict) or "wall_us" not in phases:
-            raise ArtifactError(
-                f"{source}: benchmarks[{i}] phases must carry a 'wall_us' split"
-            )
-        comm = entry.get("comm")
-        if comm is not None:
-            if not isinstance(comm, dict):
+        for key, inner, what in (("trials", "wall_s", "list"),
+                                 ("stats", "wall_s", "summary"),
+                                 ("phases", "wall_us", "split")):
+            if not isinstance(entry[key], dict) or inner not in entry[key]:
                 raise ArtifactError(
-                    f"{source}: benchmarks[{i}] 'comm' must be an object"
+                    f"{source}: benchmarks[{i}] {key} must carry a "
+                    f"{inner!r} {what}"
                 )
-            if comm.get("schema") != COMM_LEDGER_SCHEMA:
-                raise ArtifactError(
-                    f"{source}: benchmarks[{i}] comm schema "
-                    f"{comm.get('schema')!r} not supported "
-                    f"(need {COMM_LEDGER_SCHEMA!r})"
-                )
-            if not isinstance(comm.get("networks"), list):
-                raise ArtifactError(
-                    f"{source}: benchmarks[{i}] comm must carry a "
-                    "'networks' list"
-                )
-        signatures = entry.get("signatures")
-        if signatures is not None:
+        for obs in OBSERVATORIES:
+            section = entry.get(obs.name)
+            if section is None:
+                continue
             try:
-                validate_signature_summary(
-                    signatures, source=f"{source}: benchmarks[{i}] signatures"
-                )
-            except SignatureError as exc:
-                raise ArtifactError(str(exc)) from exc
-        efficiency = entry.get("efficiency")
-        if efficiency is not None:
-            try:
-                validate_efficiency(
-                    efficiency, source=f"{source}: benchmarks[{i}] efficiency"
-                )
-            except EfficiencyError as exc:
-                raise ArtifactError(str(exc)) from exc
-        rank = entry.get("rank")
-        if rank is not None:
-            try:
-                validate_rank_section(
-                    rank, source=f"{source}: benchmarks[{i}] rank"
-                )
-            except RankError as exc:
+                obs.validate(section, f"{source}: benchmarks[{i}] {obs.name}")
+            except ValueError as exc:
                 raise ArtifactError(str(exc)) from exc
     return obj
 
@@ -158,20 +103,12 @@ def benchmark_entry(artifact: dict[str, Any], name: str) -> dict[str, Any] | Non
 def write_artifact(artifact: dict[str, Any], path: str | Path) -> Path:
     """Validate and write one artifact (atomic rename, trailing newline)."""
     validate_artifact(artifact, source=str(path))
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
-    return path
+    return atomic_write(
+        path, json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def read_artifact(path: str | Path) -> dict[str, Any]:
     """Read and validate one artifact; raises :class:`ArtifactError`."""
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise ArtifactError(f"{path}: cannot read artifact: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ArtifactError(f"{path}: not valid JSON: {exc}") from exc
+    obj = read_json(path, ArtifactError, "artifact")
     return validate_artifact(obj, source=str(path))

@@ -17,14 +17,15 @@ from typing import Any
 
 import json
 
+from ..io.documents import atomic_write
 from ..parallel.ledger import (
     COMM_LEDGER_SCHEMA,
     COMM_PID,
     merge_comm_summaries,
 )
-from ..telemetry import InMemorySink, SpanEvent, Tracer, set_tracer
+from ..telemetry import SpanEvent
 from ..telemetry.timeline import write_timeline
-from .registry import Benchmark, BenchContext
+from .registry import Benchmark
 
 
 @dataclass
@@ -55,10 +56,9 @@ class CommCapture:
         }
 
     def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.as_dict(), indent=2,
-                                   sort_keys=True) + "\n")
-        return path
+        return atomic_write(
+            path, json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        )
 
     def write_timeline(self, path: str | Path) -> Path:
         """Span film + ledger lanes in one Chrome-trace document."""
@@ -80,15 +80,8 @@ def capture_comm_ledger(
     Raises :class:`ValueError` if the trial attaches no simulated
     network — a benchmark with no comm side has no ledger to export.
     """
-    state = bench.setup(params) if bench.setup is not None else None
-    sink = InMemorySink()
-    tracer = Tracer(enabled=True, sinks=[sink])
-    ctx = BenchContext(params=dict(params), tracer=tracer, sink=sink)
-    old = set_tracer(tracer)
-    try:
+    with bench.trial(params) as (ctx, state):
         bench.fn(ctx, state)
-    finally:
-        set_tracer(old)
     if not ctx.networks:
         raise ValueError(
             f"benchmark {bench.name!r} attached no simulated network; "
@@ -103,6 +96,6 @@ def capture_comm_ledger(
         benchmark=bench.name,
         params=dict(params),
         ledgers=[net.ledger.as_dict() for net in ctx.networks],
-        events=list(sink.events),
+        events=list(ctx.sink.events),
         trace_events=trace_events,
     )

@@ -27,49 +27,6 @@ from .registry import REGISTRY, BenchContext
 from .suites import DEFAULT_SEED, _EPS2, _measured_run, _model_compute_hook
 
 
-def per_regime_efficiency(
-    records: list, tracker: Any
-) -> list[dict[str, Any]]:
-    """Join per-blockstep efficiency records onto phase-observatory
-    regime runs (matched on blockstep index), one aggregate row per
-    contiguous regime run: which scheduling regime wastes which flops.
-    """
-    rows: list[dict[str, Any]] = []
-    for run in getattr(tracker, "runs", []):
-        start = run.start_blockstep
-        stop = start + run.count
-        peak = real = 0.0
-        buckets = {b: 0.0 for b in BUCKETS}
-        n_steps = 0
-        for rec in records:
-            if start <= rec.blockstep < stop:
-                peak += rec.peak_flops
-                real += rec.real_flops
-                for b in BUCKETS:
-                    buckets[b] += rec.buckets.get(b, 0.0)
-                n_steps += 1
-        if n_steps == 0:
-            continue
-        rows.append(
-            {
-                "regime": run.regime,
-                "start_blockstep": start,
-                "blocksteps": n_steps,
-                "peak_flops": peak,
-                "real_flops": real,
-                "fraction_of_peak": real / peak if peak > 0 else 0.0,
-                "buckets": {
-                    b: {
-                        "flops": buckets[b],
-                        "fraction": buckets[b] / peak if peak > 0 else 0.0,
-                    }
-                    for b in BUCKETS
-                },
-            }
-        )
-    return rows
-
-
 def _sweep_setup(params: dict[str, Any]) -> dict[str, Any]:
     return {
         "systems": {

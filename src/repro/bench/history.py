@@ -28,7 +28,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -37,38 +37,23 @@ try:  # POSIX; on platforms without it ingest degrades to lockless
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from ..io.tables import format_table
-from ..telemetry import BUCKETS
+from ..io.documents import atomic_write
+from ..io.tables import format_table, markdown_table
+from ..telemetry.observatory import (
+    DEFAULT_EFF_DROP_THRESHOLD,
+    DEFAULT_SHIFT_THRESHOLD,
+    DEFAULT_SKEW_JUMP_THRESHOLD,
+    OBSERVATORIES,
+    point_value,
+)
 from .artifact import validate_artifact
+from .compare import DEFAULT_DRIFT_THRESHOLD  # the gate's model-drift flag
 
 #: Bump on breaking row-layout changes.
 HISTORY_SCHEMA = "repro.bench.history/1"
 
 #: Where CI and the CLI keep the trajectory by default.
 DEFAULT_HISTORY_PATH = Path("benchmarks") / "history.jsonl"
-
-#: Relative change of ``model_over_measured`` between consecutive rows
-#: (or artifact pairs) that counts as model drift.  Wall-clock medians
-#: on shared runners scatter ~30%, so the flag is deliberately wider.
-DEFAULT_DRIFT_THRESHOLD = 0.5
-
-#: Total-variation distance between consecutive regime mixes (the
-#: share of blocksteps each regime claims) that counts as a regime-mix
-#: shift.  0.25 means a quarter of the run's blocksteps moved to a
-#: different regime — the workload changed character, not just speed.
-DEFAULT_SHIFT_THRESHOLD = 0.25
-
-#: Absolute drop of fraction-of-peak between consecutive rows that
-#: raises the EFF flag: the run got a tenth of the machine *less*
-#: efficient — real Tflops regressed even if wall medians look fine.
-DEFAULT_EFF_DROP_THRESHOLD = 0.10
-
-#: Absolute jump of the real-skew fraction (total real straggler skew
-#: over total dispatch span, from the rank observatory) between
-#: consecutive rows that raises the SKEW flag: the real machine's
-#: load balance got materially worse since the previous ingest even if
-#: the virtual model says nothing changed.
-DEFAULT_SKEW_JUMP_THRESHOLD = 0.15
 
 #: Environment-fingerprint fields that define "the same machine".
 _ENV_KEY_FIELDS = ("python", "implementation", "platform", "machine",
@@ -103,65 +88,8 @@ def artifact_row(artifact: dict[str, Any]) -> dict[str, Any]:
         ratio = entry.get("derived", {}).get("model_over_measured")
         if isinstance(ratio, (int, float)) and not isinstance(ratio, bool):
             bench["model_over_measured"] = float(ratio)
-        signatures = entry.get("signatures")
-        if isinstance(signatures, dict) and signatures.get("regimes"):
-            # phase-observatory distillation: enough to render the
-            # per-regime columns and compare the mix across ingests.
-            # The mix is keyed by the regime's log2 block-size bucket,
-            # not its id — ids are assigned in discovery order, so a
-            # reordered schedule would relabel identical regimes and
-            # read as a spurious shift.
-            mix: dict[str, int] = {}
-            for reg in signatures["regimes"]:
-                mean = float(reg.get("mean_block_size", 0.0))
-                bucket = int(mean).bit_length() - 1 if mean >= 1.0 else -1
-                key = f"b{bucket}"
-                mix[key] = mix.get(key, 0) + int(reg["count"])
-            bench["regimes"] = {
-                "n": int(signatures.get("n_regimes",
-                                        len(signatures["regimes"]))),
-                "dominant": signatures.get("dominant_regime"),
-                "dominant_share": float(signatures.get("dominant_share", 0.0)),
-                "mix": mix,
-            }
-        efficiency = entry.get("efficiency")
-        if isinstance(efficiency, dict) and "fraction_of_peak" in efficiency:
-            # efficiency-observatory distillation: the achieved fraction
-            # of peak and the per-bucket loss fractions (of peak), so
-            # the trajectory can show where the flops went per ingest
-            bench["efficiency"] = {
-                "fraction_of_peak": float(efficiency["fraction_of_peak"]),
-                "real_gflops": float(efficiency.get("real_gflops", 0.0)),
-                "buckets": {
-                    b: float((efficiency.get("buckets") or {})
-                             .get(b, {}).get("fraction", 0.0))
-                    for b in BUCKETS
-                },
-            }
-        rank = entry.get("rank")
-        if isinstance(rank, dict) and "real_skew_us" in rank:
-            # rank-observatory distillation: enough to render the
-            # real-execution columns and flag skew jumps across ingests.
-            # The fraction normalises total straggler skew by the total
-            # dispatch span so runs of different lengths compare.
-            skew = rank.get("real_skew_us") or {}
-            span = float(rank.get("span_wall_us", 0.0))
-            distilled: dict[str, Any] = {
-                "real_skew_us_mean": float(skew.get("mean", 0.0)),
-                "skew_fraction": (
-                    float(skew.get("total", 0.0)) / span if span > 0 else 0.0
-                ),
-                "utilisation": float(rank.get("utilisation", 0.0)),
-                "publish_bytes_per_step": float(
-                    rank.get("publish_bytes_per_step", 0.0)
-                ),
-            }
-            placement = rank.get("placement")
-            if isinstance(placement, dict):
-                distilled["placement_gap_us_mean"] = float(
-                    (placement.get("gap_us") or {}).get("mean", 0.0)
-                )
-            bench["rank"] = distilled
+        for obs in OBSERVATORIES:
+            bench.update(obs.distil(entry.get(obs.name)))
         benchmarks[entry["name"]] = bench
     row = {
         "schema": HISTORY_SCHEMA,
@@ -325,39 +253,20 @@ def prune_history(
         survivors = [r for i, r in enumerate(survivors) if i in wanted]
     kept, dropped = len(survivors), len(rows) - len(survivors)
     if not dry_run and dropped:
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in survivors)
+        atomic_write(
+            path,
+            "".join(json.dumps(r, sort_keys=True) + "\n" for r in survivors),
         )
-        tmp.replace(path)
     return kept, dropped
 
 
 # -- trajectory -------------------------------------------------------------
 
 
-def regime_mix_shift(
-    prev: dict[str, int], current: dict[str, int]
-) -> float:
-    """Total-variation distance between two regime mixes in [0, 1].
-
-    Mixes are blockstep counts per log2 block-size bucket (the
-    label-stable regime fingerprint :func:`artifact_row` distils from
-    a signature summary); 0.0 means identical share distributions, 1.0
-    means disjoint bucket sets.
-    """
-    p_total = sum(prev.values()) or 1
-    c_total = sum(current.values()) or 1
-    return 0.5 * sum(
-        abs(prev.get(r, 0) / p_total - current.get(r, 0) / c_total)
-        for r in set(prev) | set(current)
-    )
-
-
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    """One benchmark's state in one history row, with deltas."""
+    """One benchmark's state in one history row, with deltas; the
+    observatories' ``trend`` fill the rest, undeclared ones ``extra``."""
 
     benchmark: str
     suite: str
@@ -379,6 +288,7 @@ class TrajectoryPoint:
     skew_fraction: float | None = None  # total real skew / total span
     rank_utilisation: float | None = None
     skew_jump: float | None = None      # current fraction - previous
+    extra: dict[str, Any] = field(default_factory=dict, init=False)
 
     def drifted(self, threshold: float = DEFAULT_DRIFT_THRESHOLD) -> bool:
         return self.model_drift is not None and abs(self.model_drift) > threshold
@@ -407,9 +317,9 @@ def trajectory(
     series: dict[str, list[TrajectoryPoint]] = {}
     last_median: dict[tuple[str, str], float] = {}
     last_ratio: dict[tuple[str, str], float] = {}
-    last_mix: dict[tuple[str, str], dict[str, int]] = {}
-    last_frac: dict[tuple[str, str], float] = {}
-    last_skew: dict[tuple[str, str], float] = {}
+    # per observatory: the value its trend compares the next row against
+    carried: dict[tuple[str, str, str], Any] = {}
+    declared = {f.name for f in fields(TrajectoryPoint) if f.init}
     for row in rows:
         if suite is not None and row.get("suite") != suite:
             continue
@@ -425,64 +335,33 @@ def trajectory(
             drift = None
             if ratio is not None and prev_ratio:
                 drift = ratio / prev_ratio - 1.0
-            regimes = bench.get("regimes") or {}
-            mix = regimes.get("mix") or None
-            prev_mix = last_mix.get(key)
-            shift = None
-            if mix and prev_mix:
-                shift = regime_mix_shift(prev_mix, mix)
-            efficiency = bench.get("efficiency") or {}
-            frac = efficiency.get("fraction_of_peak")
-            prev_frac = last_frac.get(key)
-            eff_drop = None
-            if frac is not None and prev_frac is not None:
-                eff_drop = prev_frac - float(frac)
-            rank = bench.get("rank") or {}
-            skew_fraction = rank.get("skew_fraction")
-            prev_skew = last_skew.get(key)
-            skew_jump = None
-            if skew_fraction is not None and prev_skew is not None:
-                skew_jump = float(skew_fraction) - prev_skew
-            series.setdefault(name, []).append(
-                TrajectoryPoint(
-                    benchmark=name,
-                    suite=row.get("suite", "?"),
-                    env_key=row.get("env_key", ""),
-                    git_revision=row.get("git_revision"),
-                    tag=row.get("tag"),
-                    seed=row.get("seed"),
-                    median_s=median,
-                    iqr_s=float(bench.get("iqr_s", 0.0)),
-                    delta=delta,
-                    model_over_measured=ratio,
-                    model_drift=drift,
-                    regime_count=(
-                        int(regimes["n"]) if "n" in regimes else None
-                    ),
-                    dominant_share=regimes.get("dominant_share"),
-                    regime_shift=shift,
-                    fraction_of_peak=(
-                        float(frac) if frac is not None else None
-                    ),
-                    bucket_fractions=efficiency.get("buckets") or None,
-                    eff_drop=eff_drop,
-                    skew_fraction=(
-                        float(skew_fraction)
-                        if skew_fraction is not None else None
-                    ),
-                    rank_utilisation=rank.get("utilisation"),
-                    skew_jump=skew_jump,
-                )
+            observed: dict[str, Any] = {}
+            for obs in OBSERVATORIES:
+                values, carry = obs.trend(bench, carried.get((obs.name, *key)))
+                observed.update(values)
+                if carry is not None:
+                    carried[(obs.name, *key)] = carry
+            point = TrajectoryPoint(
+                benchmark=name,
+                suite=row.get("suite", "?"),
+                env_key=row.get("env_key", ""),
+                git_revision=row.get("git_revision"),
+                tag=row.get("tag"),
+                seed=row.get("seed"),
+                median_s=median,
+                iqr_s=float(bench.get("iqr_s", 0.0)),
+                delta=delta,
+                model_over_measured=ratio,
+                model_drift=drift,
+                **{k: v for k, v in observed.items() if k in declared},
             )
+            point.extra.update(
+                (k, v) for k, v in observed.items() if k not in declared
+            )
+            series.setdefault(name, []).append(point)
             last_median[key] = median
             if ratio is not None:
                 last_ratio[key] = ratio
-            if mix:
-                last_mix[key] = mix
-            if frac is not None:
-                last_frac[key] = float(frac)
-            if skew_fraction is not None:
-                last_skew[key] = float(skew_fraction)
     return series
 
 
@@ -494,21 +373,22 @@ def _traj_rows(
     series: dict[str, list[TrajectoryPoint]],
     drift_threshold: float,
     shift_threshold: float = DEFAULT_SHIFT_THRESHOLD,
-    eff_threshold: float = DEFAULT_EFF_DROP_THRESHOLD,
-    skew_threshold: float = DEFAULT_SKEW_JUMP_THRESHOLD,
 ) -> list[tuple]:
+    # ``--shift-threshold`` overrides the SHIFT flag's registry default
+    overrides = {"SHIFT": shift_threshold}
+    flags = [obs.flag for obs in OBSERVATORIES if obs.flag is not None]
+    columns = [col for obs in OBSERVATORIES for col in obs.columns]
     rows: list[tuple] = []
     for name in sorted(series):
         for i, pt in enumerate(series[name]):
-            flags = []
-            if pt.drifted(drift_threshold):
-                flags.append("DRIFT")
-            if pt.shifted(shift_threshold):
-                flags.append("SHIFT")
-            if pt.eff_dropped(eff_threshold):
-                flags.append("EFF")
-            if pt.skewed(skew_threshold):
-                flags.append("SKEW")
+            raised = ["DRIFT"] if pt.drifted(drift_threshold) else []
+            raised += [
+                f.name for f in flags if f.raised(pt, overrides.get(f.name))
+            ]
+            cells = []
+            for _, attr, render in columns:
+                value = point_value(pt, attr)
+                cells.append("-" if value is None else render(value))
             rows.append(
                 (
                     name if i == 0 else "",
@@ -520,52 +400,27 @@ def _traj_rows(
                     f"{pt.model_over_measured:.3g}"
                     if pt.model_over_measured is not None
                     else "-",
-                    str(pt.regime_count)
-                    if pt.regime_count is not None
-                    else "-",
-                    f"{pt.dominant_share * 100.0:.0f}%"
-                    if pt.dominant_share is not None
-                    else "-",
-                    f"{pt.fraction_of_peak:.2%}"
-                    if pt.fraction_of_peak is not None
-                    else "-",
-                    f"{pt.skew_fraction:.1%}"
-                    if pt.skew_fraction is not None
-                    else "-",
-                    " ".join(flags),
+                    *cells,
+                    " ".join(raised),
                 )
             )
     return rows
 
 
-_TRAJ_HEADERS = ("benchmark", "#", "revision", "tag", "median [ms]",
-                 "delta", "model/meas", "regimes", "dom", "eff", "skew",
-                 "flags")
-
-
-def _eff_rows(series: dict[str, list[TrajectoryPoint]]) -> list[tuple]:
-    """Efficiency-observatory block: the per-bucket loss fractions of
-    each point that carried a flops waterfall (one column per bucket)."""
+def _block_rows(
+    series: dict[str, list[TrajectoryPoint]], cells_of
+) -> list[tuple]:
+    """An observatory's extra block: numbered per benchmark over the
+    points it has cells for."""
     rows: list[tuple] = []
     for name in sorted(series):
-        points = [p for p in series[name] if p.bucket_fractions is not None]
-        for i, pt in enumerate(points):
-            buckets = pt.bucket_fractions or {}
+        cells = [(pt, c) for pt in series[name]
+                 if (c := cells_of(pt)) is not None]
+        for i, (pt, c) in enumerate(cells):
             rows.append(
-                (
-                    name if i == 0 else "",
-                    i + 1,
-                    _sha(pt.git_revision),
-                    f"{pt.fraction_of_peak:.2%}"
-                    if pt.fraction_of_peak is not None
-                    else "-",
-                    *(f"{buckets.get(b, 0.0):.2%}" for b in BUCKETS),
-                )
+                (name if i == 0 else "", i + 1, _sha(pt.git_revision), *c)
             )
     return rows
-
-
-_EFF_HEADERS = ("benchmark", "#", "revision", "eff", *BUCKETS)
 
 
 def render_history_table(
@@ -581,49 +436,42 @@ def render_history_table(
     One block per suite present in the history; each benchmark's points
     appear in ingest order with the delta against its previous
     measurement on the same machine, the model-vs-measured DRIFT flag,
-    and — where artifacts carried phase signatures — the regime count,
-    dominant-regime share, and a SHIFT flag when the regime mix moved
-    by more than ``shift_threshold`` (total variation) since the
-    previous ingest.  The paper's Table 1 presentation for this repo's
-    own tuning arc.
+    and each observatory's columns and flag where artifacts carried its
+    section — e.g. the regime count, dominant-regime share, and a SHIFT
+    flag when the regime mix moved by more than ``shift_threshold``
+    (total variation) since the previous ingest.  Observatories with an
+    extra block (the efficiency buckets) follow the table.  The paper's
+    Table 1 presentation for this repo's own tuning arc.
     """
     rows = list(rows)
     suites = [suite] if suite is not None else sorted(
         {r.get("suite", "?") for r in rows}
     )
+    headers = ("benchmark", "#", "revision", "tag", "median [ms]", "delta",
+               "model/meas",
+               *(col[0] for obs in OBSERVATORIES for col in obs.columns),
+               "flags")
+    md = fmt == "markdown"
+    table = markdown_table if md else format_table
     blocks: list[str] = []
     for s in suites:
         series = trajectory(rows, suite=s, env=env)
         if not series:
             continue
         table_rows = _traj_rows(series, drift_threshold, shift_threshold)
-        eff_rows = _eff_rows(series)
         n_points = sum(len(v) for v in series.values())
-        if fmt == "markdown":
-            head = [f"### Trajectory — suite `{s}` ({n_points} points)", ""]
-            md = ["| " + " | ".join(_TRAJ_HEADERS) + " |",
-                  "|" + "|".join(" --- " for _ in _TRAJ_HEADERS) + "|"]
-            for r in table_rows:
-                cells = [f"{c:.4g}" if isinstance(c, float) else str(c) for c in r]
-                md.append("| " + " | ".join(cells) + " |")
-            if eff_rows:
-                md += ["", f"#### Efficiency buckets — suite `{s}`", "",
-                       "| " + " | ".join(_EFF_HEADERS) + " |",
-                       "|" + "|".join(" --- " for _ in _EFF_HEADERS) + "|"]
-                md += ["| " + " | ".join(str(c) for c in r) + " |"
-                       for r in eff_rows]
-            blocks.append("\n".join(head + md))
-        else:
-            block = (
-                f"# trajectory — suite {s!r} ({n_points} points)\n\n"
-                + format_table(_TRAJ_HEADERS, table_rows)
-            )
-            if eff_rows:
-                block += (
-                    f"\n\n## efficiency buckets — suite {s!r}\n\n"
-                    + format_table(_EFF_HEADERS, eff_rows)
-                )
-            blocks.append(block)
+        parts = [f"### Trajectory — suite `{s}` ({n_points} points)" if md
+                 else f"# trajectory — suite {s!r} ({n_points} points)",
+                 "", table(headers, table_rows)]
+        for obs in OBSERVATORIES:
+            block_rows = _block_rows(series, obs.block_cells)
+            if block_rows:
+                title, block_headers = obs.block
+                parts += ["", f"#### {title.capitalize()} — suite `{s}`" if md
+                          else f"## {title} — suite {s!r}", "",
+                          table(("benchmark", "#", "revision", *block_headers),
+                                block_rows)]
+        blocks.append("\n".join(parts))
     if not blocks:
         return "(history is empty)"
     return "\n\n".join(blocks)

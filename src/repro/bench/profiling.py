@@ -29,37 +29,15 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..telemetry import (
+    ATTRIBUTION_RULES,
     PHASES,
-    T_BARRIER,
-    T_COMM,
-    T_HOST,
     T_OTHER,
-    T_PIPE,
-    InMemorySink,
     Sample,
     SamplerReport,
     SamplingProfiler,
     SpanEvent,
-    Tracer,
-    set_tracer,
 )
-from .registry import Benchmark, BenchContext
-
-#: Ordered direct-attribution rules: (path fragment, function name or
-#: None for any, phase).  First match wins; paths are '/'-normalised.
-ATTRIBUTION_RULES: list[tuple[str, str | None, str]] = [
-    ("repro/parallel/simcomm.py", "barrier", T_BARRIER),
-    ("repro/parallel/barrier.py", None, T_BARRIER),
-    ("repro/parallel/simcomm.py", None, T_COMM),
-    ("repro/parallel/virtualtime.py", None, T_COMM),
-    ("repro/parallel/", None, T_COMM),
-    ("repro/forces/", None, T_PIPE),
-    ("repro/hardware/", None, T_PIPE),
-    ("repro/telemetry/", None, T_OTHER),
-    ("repro/core/", None, T_HOST),
-    ("repro/perfmodel/", None, T_HOST),
-    ("repro/models/", None, T_HOST),
-]
+from .registry import Benchmark
 
 #: (filename, lineno, funcname) — pstats' function key.
 FuncKey = tuple[str, int, str]
@@ -211,18 +189,11 @@ def profile_benchmark(
 ) -> ProfileAttribution:
     """Run one trial of ``bench`` under cProfile (setup untimed and
     unprofiled, like the runner) and attribute the result."""
-    state = bench.setup(params) if bench.setup is not None else None
-    sink = InMemorySink()
-    tracer = Tracer(enabled=True, sinks=[sink])
-    ctx = BenchContext(params=dict(params), tracer=tracer, sink=sink)
     profiler = cProfile.Profile()
-    old = set_tracer(tracer)
-    try:
+    with bench.trial(params) as (ctx, state):
         profiler.enable()
         bench.fn(ctx, state)
         profiler.disable()
-    finally:
-        set_tracer(old)
     return attribute_profile(profiler, benchmark=bench.name, top=top)
 
 
@@ -260,24 +231,17 @@ def flight_record_benchmark(
     phase split all describe one execution (the cProfile overhead
     inflates wall times uniformly; relative shares survive).
     """
-    state = bench.setup(params) if bench.setup is not None else None
-    sink = InMemorySink()
-    tracer = Tracer(enabled=True, sinks=[sink])
-    ctx = BenchContext(params=dict(params), tracer=tracer, sink=sink)
     profiler = cProfile.Profile()
-    sampler = SamplingProfiler(tracer, interval_s=interval_s)
-    old = set_tracer(tracer)
-    try:
+    with bench.trial(params) as (ctx, state):
+        sampler = SamplingProfiler(ctx.tracer, interval_s=interval_s)
         with sampler:
             profiler.enable()
             bench.fn(ctx, state)
             profiler.disable()
-    finally:
-        set_tracer(old)
     return FlightRecording(
         benchmark=bench.name,
         attribution=attribute_profile(profiler, benchmark=bench.name, top=top),
-        events=list(sink.events),
+        events=list(ctx.sink.events),
         samples=list(sampler.samples),
         sampler_report=sampler.report(),
     )

@@ -11,10 +11,11 @@ at full paper size without code changes.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
-from ..telemetry import InMemorySink, Tracer
+from ..telemetry import InMemorySink, Tracer, set_tracer
 
 
 @dataclass
@@ -84,6 +85,21 @@ class Benchmark:
     #: Suite name -> parameter dict.  A benchmark belongs to exactly
     #: the suites it has parameters for.
     suites: dict[str, dict[str, Any]] = field(default_factory=dict)
+
+    @contextmanager
+    def trial(self, params: dict[str, Any]) -> Iterator[tuple[BenchContext, Any]]:
+        """Set up one trial (untimed) and yield ``(ctx, state)`` with a
+        fresh enabled tracer installed as the process-wide default;
+        running ``fn(ctx, state)`` — timed, profiled or sampled — is the
+        caller's part."""
+        state = self.setup(params) if self.setup is not None else None
+        sink = InMemorySink()
+        tracer = Tracer(enabled=True, sinks=[sink])
+        old = set_tracer(tracer)
+        try:
+            yield BenchContext(params=dict(params), tracer=tracer, sink=sink), state
+        finally:
+            set_tracer(old)
 
     def params_for(self, suite: str) -> dict[str, Any]:
         try:

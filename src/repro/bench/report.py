@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..io.tables import format_table
-from ..telemetry import BUCKETS, PAPER_PHASE_NAMES, PHASES
+from ..io.tables import format_table, markdown_table
+from ..telemetry import PAPER_PHASE_NAMES, PHASES
+from ..telemetry.observatory import OBSERVATORIES
 from .compare import ComparisonResult
 from .profiling import ProfileAttribution
 
@@ -97,161 +98,28 @@ def _histogram_rows(entry: dict[str, Any]) -> list[tuple]:
 _HISTOGRAM_HEADERS = ("metric", "n", "mean", "p50", "p90", "p99", "max")
 
 
-_SHARE_SPARK = "▁▂▃▄▅▆▇█"
-
-
-def _share_bar(share: float, width: int = 8) -> str:
-    """Tiny bar of a [0, 1] share (one glyph per 1/width of the range)."""
-    share = min(max(share, 0.0), 1.0)
-    full = int(share * width)
-    partial = share * width - full
-    bar = "█" * full
-    if partial > 0 and full < width:
-        bar += _SHARE_SPARK[min(int(partial * len(_SHARE_SPARK)), 7)]
-    return bar or "▁"
-
-
-def _regime_rows(entry: dict[str, Any]) -> list[tuple]:
-    """Phase-observatory rows: one per regime, dominant first."""
-    summary = entry.get("signatures")
-    if not summary:
-        return []
-    rows = []
-    for reg in sorted(
-        summary.get("regimes", []), key=lambda r: -r.get("count", 0)
-    ):
-        share = reg.get("share", 0.0)
-        rows.append(
-            (
-                reg.get("regime"),
-                reg.get("count", 0),
-                f"{share:.1%}",
-                _share_bar(share),
-                f"{reg.get('mean_block_size', 0.0):.1f}",
-                f"{reg.get('mean_wall_us', 0.0):.0f}",
-            )
-        )
-    return rows
-
-
-_REGIME_HEADERS = (
-    "regime", "blocksteps", "share", "bar", "mean block", "us/blockstep"
-)
-
-
-def _waterfall_rows(entry: dict[str, Any]) -> list[tuple]:
-    """Efficiency-observatory waterfall: peak at the top, one row per
-    loss bucket, achieved ("real") flops at the bottom — the §6 "real
-    Tflops" account rendered fig. 13-style as fractions of peak."""
-    eff = entry.get("efficiency")
-    if not eff:
-        return []
-    peak = eff.get("peak_flops", 0.0)
-    rows: list[tuple] = [("peak", f"{peak:.4g}", "100.0%", _share_bar(1.0))]
-    for bucket in BUCKETS:
-        info = eff.get("buckets", {}).get(bucket, {})
-        flops, frac = info.get("flops", 0.0), info.get("fraction", 0.0)
-        if flops <= 0.0:
-            continue
-        rows.append(
-            (f"- {bucket}", f"{flops:.4g}", f"{frac:.2%}", _share_bar(frac))
-        )
-    frac = eff.get("fraction_of_peak", 0.0)
-    rows.append(
-        ("= real", f"{eff.get('real_flops', 0.0):.4g}", f"{frac:.2%}",
-         _share_bar(frac))
-    )
-    return rows
-
-
-_WATERFALL_HEADERS = ("waterfall", "flops", "of peak", "bar")
-
-
-def _rank_rows(entry: dict[str, Any]) -> list[tuple]:
-    """Rank-observatory rows: one per rank, real busy time and task
-    distribution — the per-host table the paper's §4 tuning reads."""
-    rank = entry.get("rank")
-    if not rank:
-        return []
-    rows = []
-    busy_total = max(rank.get("busy_us", 0.0), 1e-12)
-    for row in rank.get("ranks", []):
-        share = row.get("busy_us", 0.0) / busy_total
-        rows.append(
-            (
-                row.get("rank"),
-                row.get("tasks", 0),
-                f"{row.get('busy_us', 0.0) / 1.0e3:.2f}",
-                f"{share:.1%}",
-                _share_bar(share),
-                f"{row.get('mean_task_us', 0.0):.0f}",
-                f"{row.get('max_task_us', 0.0):.0f}",
-            )
-        )
-    return rows
-
-
-_RANK_HEADERS = (
-    "rank", "tasks", "busy [ms]", "share", "bar", "mean task [us]", "max [us]"
-)
-
-
-def _rank_lines(entry: dict[str, Any], table: str) -> list[str]:
-    rank = entry.get("rank")
-    if not rank:
-        return []
-    skew = rank.get("real_skew_us", {})
-    lines = [
-        "",
-        f"ranks: {rank.get('n_ranks', 0)} on "
-        f"{'/'.join(rank.get('backends', []) or ['?'])} — "
-        f"utilisation {rank.get('utilisation', 0.0):.1%}, "
-        f"real skew mean {skew.get('mean', 0.0):.0f} us "
-        f"(max {skew.get('max', 0.0):.0f}), "
-        f"publish {rank.get('publish_bytes_per_step', 0.0):.0f} B/step",
-    ]
-    placement = rank.get("placement")
-    if placement:
-        gap = placement.get("gap_us", {}).get("mean", 0.0)
-        buckets = placement.get("buckets", {})
-        lines.append(
-            f"placement gap (real - virtual skew): {gap:+.0f} us/blockstep; "
-            "idle split "
-            f"imbalance {buckets.get('imbalance', {}).get('fraction', 0.0):.1%} / "
-            f"overhead {buckets.get('overhead', {}).get('fraction', 0.0):.1%}"
-        )
-    if table:
-        lines += ["", table]
+def _entry_tables(entry: dict[str, Any], table, name) -> list[str]:
+    """One benchmark's phase, derived, histogram and observatory tables,
+    rendered by ``table``; ``name`` formats the metric/key names."""
+    lines = ["", table(_phase_headers(entry), _phase_rows(entry))]
+    derived = entry.get("derived", {})
+    if derived:
+        lines += [
+            "",
+            table(
+                ("derived", "value"),
+                [(name(k), _fmt_derived(v)) for k, v in sorted(derived.items())],
+            ),
+        ]
+    hist_rows = _histogram_rows(entry)
+    if hist_rows:
+        lines += [
+            "",
+            table(_HISTOGRAM_HEADERS, [(name(r[0]), *r[1:]) for r in hist_rows]),
+        ]
+    for obs in OBSERVATORIES:
+        lines += obs.report(entry.get(obs.name), table)
     return lines
-
-
-def _efficiency_lines(entry: dict[str, Any], table: str) -> list[str]:
-    eff = entry.get("efficiency")
-    if not eff:
-        return []
-    return [
-        "",
-        f"efficiency: {eff.get('fraction_of_peak', 0.0):.2%} of peak "
-        f"({eff.get('real_gflops', 0.0):.4g} real Gflops) over "
-        f"{eff.get('blocksteps', 0)} blocksteps, {eff.get('clock')} clock",
-        "",
-        table,
-    ]
-
-
-def _signature_lines(entry: dict[str, Any], table: str) -> list[str]:
-    summary = entry.get("signatures")
-    if not summary:
-        return []
-    return [
-        "",
-        f"regimes: {summary.get('n_regimes', 0)} over "
-        f"{summary.get('count', 0)} blocksteps, "
-        f"{summary.get('changes', 0)} change(s); "
-        f"lane {summary.get('lane', '')}",
-        "",
-        table,
-    ]
 
 
 def render_artifact_text(artifact: dict[str, Any]) -> str:
@@ -274,47 +142,9 @@ def render_artifact_text(artifact: dict[str, Any]) -> str:
             f"wall: median {stats['median'] * 1e3:.2f} ms "
             f"(min {stats['min'] * 1e3:.2f}, IQR {stats['iqr'] * 1e3:.2f}, "
             f"n={stats['n']})",
-            "",
-            format_table(_phase_headers(entry), _phase_rows(entry)),
+            *_entry_tables(entry, format_table, str),
         ]
-        derived = entry.get("derived", {})
-        if derived:
-            lines += [
-                "",
-                format_table(
-                    ("derived", "value"),
-                    [(k, _fmt_derived(v)) for k, v in sorted(derived.items())],
-                ),
-            ]
-        hist_rows = _histogram_rows(entry)
-        if hist_rows:
-            lines += ["", format_table(_HISTOGRAM_HEADERS, hist_rows)]
-        regime_rows = _regime_rows(entry)
-        if regime_rows:
-            lines += _signature_lines(
-                entry, format_table(_REGIME_HEADERS, regime_rows)
-            )
-        waterfall = _waterfall_rows(entry)
-        if waterfall:
-            lines += _efficiency_lines(
-                entry, format_table(_WATERFALL_HEADERS, waterfall)
-            )
-        rank_rows = _rank_rows(entry)
-        if rank_rows or entry.get("rank"):
-            lines += _rank_lines(
-                entry,
-                format_table(_RANK_HEADERS, rank_rows) if rank_rows else "",
-            )
     return "\n".join(lines)
-
-
-def _md_table(headers: list[str], rows: list[tuple]) -> str:
-    out = ["| " + " | ".join(headers) + " |",
-           "|" + "|".join(" --- " for _ in headers) + "|"]
-    for row in rows:
-        cells = [f"{c:.4g}" if isinstance(c, float) else str(c) for c in row]
-        out.append("| " + " | ".join(cells) + " |")
-    return "\n".join(out)
 
 
 def render_artifact_markdown(artifact: dict[str, Any]) -> str:
@@ -341,7 +171,7 @@ def render_artifact_markdown(artifact: dict[str, Any]) -> str:
         )
     lines += [
         "",
-        _md_table(
+        markdown_table(
             ["benchmark", "paper ref", "median [ms]", "IQR [ms]", "trials"],
             summary_rows,
         ),
@@ -350,43 +180,8 @@ def render_artifact_markdown(artifact: dict[str, Any]) -> str:
         lines += [
             "",
             f"### `{entry['name']}` — time budget (fig. 14 style)",
-            "",
-            _md_table(_phase_headers(entry), _phase_rows(entry)),
+            *_entry_tables(entry, markdown_table, lambda k: f"`{k}`"),
         ]
-        derived = entry.get("derived", {})
-        if derived:
-            lines += [
-                "",
-                _md_table(
-                    ["derived", "value"],
-                    [(f"`{k}`", _fmt_derived(v)) for k, v in sorted(derived.items())],
-                ),
-            ]
-        hist_rows = _histogram_rows(entry)
-        if hist_rows:
-            lines += [
-                "",
-                _md_table(
-                    list(_HISTOGRAM_HEADERS),
-                    [(f"`{r[0]}`", *r[1:]) for r in hist_rows],
-                ),
-            ]
-        regime_rows = _regime_rows(entry)
-        if regime_rows:
-            lines += _signature_lines(
-                entry, _md_table(list(_REGIME_HEADERS), regime_rows)
-            )
-        waterfall = _waterfall_rows(entry)
-        if waterfall:
-            lines += _efficiency_lines(
-                entry, _md_table(list(_WATERFALL_HEADERS), waterfall)
-            )
-        rank_rows = _rank_rows(entry)
-        if rank_rows or entry.get("rank"):
-            lines += _rank_lines(
-                entry,
-                _md_table(list(_RANK_HEADERS), rank_rows) if rank_rows else "",
-            )
     return "\n".join(lines)
 
 
@@ -455,7 +250,7 @@ def render_compare_markdown(result: ComparisonResult) -> str:
     head = "## Benchmark regression gate — " + ("OK" if result.ok else "FAILED")
     return "\n".join(
         [head, "", f"*{_drift_line(result)}*", "",
-         _md_table(["benchmark", "status", "ratio", "threshold", "note"], rows)]
+         markdown_table(["benchmark", "status", "ratio", "threshold", "note"], rows)]
     )
 
 

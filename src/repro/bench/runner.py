@@ -4,10 +4,11 @@ Each trial runs under its own enabled tracer (installed as the
 process-wide default for the duration, so the instrumented integrators
 and simulated networks report into it), is wall-clock timed, and is
 rolled up through :class:`repro.telemetry.PhaseAggregator` into the
-paper's phase taxonomy.  Setup (model sampling, network construction)
-runs before the clock starts, so trial scatter in the artifact is
-timing noise, not workload noise — the workloads themselves are seeded
-(see ``params['seed']`` in :mod:`repro.bench.suites`).
+paper's phase taxonomy; each registered observatory then harvests its
+artifact section from the trial.  Setup (model sampling, network
+construction) runs before the clock starts, so trial scatter in the
+artifact is timing noise, not workload noise — the workloads themselves
+are seeded (see ``params['seed']`` in :mod:`repro.bench.suites`).
 """
 
 from __future__ import annotations
@@ -15,78 +16,36 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from ..parallel.ledger import merge_comm_summaries
-from ..telemetry import (
-    InMemorySink,
-    PhaseAggregator,
-    PHASES,
-    RegimeTracker,
-    Tracer,
-    efficiency_from_events,
-    set_tracer,
-    signatures_from_events,
-)
-from .efficiency import per_regime_efficiency
+from ..telemetry import PhaseAggregator, PHASES
+from ..telemetry.observatory import OBSERVATORIES, Harvest
 from .env import environment_fingerprint
 from .artifact import SCHEMA, validate_artifact
-from .registry import REGISTRY, Benchmark, BenchContext, BenchmarkRegistry
+from .registry import REGISTRY, Benchmark, BenchmarkRegistry
 from .stats import percentile, trial_stats
 
 
 def _run_trial(bench: Benchmark, params: dict[str, Any]) -> dict[str, Any]:
     """One timed trial: returns wall seconds, phase split, metrics,
     and the benchmark's derived values."""
-    state = bench.setup(params) if bench.setup is not None else None
-    sink = InMemorySink()
-    tracer = Tracer(enabled=True, sinks=[sink])
-    ctx = BenchContext(params=dict(params), tracer=tracer, sink=sink)
-    old = set_tracer(tracer)
-    try:
+    with bench.trial(params) as (ctx, state):
         t0 = time.perf_counter()
         derived = bench.fn(ctx, state)
         wall_s = time.perf_counter() - t0
-    finally:
-        set_tracer(old)
-    breakdown = PhaseAggregator().consume(sink.events).breakdown()
+    breakdown = PhaseAggregator().consume(ctx.sink.events).breakdown()
     out: dict[str, Any] = {
         "wall_s": wall_s,
         "derived": dict(derived or {}),
-        "metrics": tracer.metrics.snapshot(),
+        "metrics": ctx.tracer.metrics.snapshot(),
         "n_events": breakdown.n_events,
         "wall_us": dict(breakdown.wall.totals),
     }
     if breakdown.virtual is not None:
         out["virtual_us"] = dict(breakdown.virtual.totals)
-    if ctx.networks:
-        out["comm"] = merge_comm_summaries(
-            net.ledger.summary() for net in ctx.networks
-        )
-    # phase observatory: fold the retained span events back into
-    # per-blockstep signatures and cluster them into regimes; only
-    # benchmarks that actually step an integrator produce any
-    sigs = signatures_from_events(sink.events)
-    regimes = None
-    if sigs:
-        regimes = RegimeTracker()
-        for sig in sigs:
-            regimes.update(sig)
-        out["signatures"] = regimes.summary()
-    # efficiency observatory: replay the same span stream through the
-    # flops ledger, priced against the hardware the trial declared
-    # (ctx.hardware, default single host), refined by the comm ledgers
-    ledger = efficiency_from_events(sink.events, hardware=ctx.hardware)
-    if ledger.count:
-        efficiency = ledger.summary(comm=out.get("comm"))
-        if regimes is not None:
-            regime_rows = per_regime_efficiency(ledger.records, regimes)
-            if regime_rows:
-                efficiency["regimes"] = regime_rows
-        out["efficiency"] = efficiency
-    # rank observatory: real-execution telemetry the trial attached,
-    # cross-attributed against the primary network's virtual barriers
-    if ctx.rank_ledgers:
-        comm_src = ctx.networks[0].ledger if ctx.networks else out.get("comm")
-        out["rank"] = ctx.rank_ledgers[0].summary(comm=comm_src)
+    harvest = Harvest(ctx=ctx, events=ctx.sink.events)
+    for obs in OBSERVATORIES:
+        section = obs.harvest(harvest)
+        if section is not None:
+            out[obs.name] = harvest.sections[obs.name] = section
     return out
 
 
@@ -158,22 +117,13 @@ def run_benchmark(
     virtual_trials = [t["virtual_us"] for t in trials if "virtual_us" in t]
     if virtual_trials:
         entry["phases"]["virtual_us"] = _median_across(virtual_trials)
-    # comm ledgers are deterministic per trial (virtual time), so the
-    # last trial's harvest represents them all
-    if "comm" in trials[-1]:
-        entry["comm"] = trials[-1]["comm"]
-    # regime structure (counts, shares, lane) is schedule-driven and
-    # the schedule is seeded, so the last trial stands in for all
-    if "signatures" in trials[-1]:
-        entry["signatures"] = trials[-1]["signatures"]
-    # the flops waterfall is virtual-clock arithmetic on the seeded
-    # schedule — deterministic per trial, last trial represents all
-    if "efficiency" in trials[-1]:
-        entry["efficiency"] = trials[-1]["efficiency"]
-    # real-execution rank telemetry: wall-clock measurements vary per
-    # trial like wall_s does; the last trial is one honest sample
-    if "rank" in trials[-1]:
-        entry["rank"] = trials[-1]["rank"]
+    # observatory sections: comm, regimes and the flops waterfall are
+    # deterministic on the seeded schedule and real-execution rank
+    # telemetry varies like wall_s does, so the last trial stands in
+    # for all of them
+    for obs in OBSERVATORIES:
+        if obs.name in trials[-1]:
+            entry[obs.name] = trials[-1][obs.name]
     return entry
 
 

@@ -54,6 +54,12 @@ import numpy as np
 
 from ..core.individual import BlockTimestepIntegrator
 from ..forces.direct import DirectSummation
+from ..io.documents import (
+    atomic_write,
+    read_json,
+    require_keys,
+    require_schema,
+)
 from ..service.jobs import build_backend, build_system, resolve_eps2
 from ..telemetry import (
     InMemorySink,
@@ -183,19 +189,14 @@ class SampledEstimate:
 
 def validate_sample_artifact(obj: Any, source: str = "sample") -> dict[str, Any]:
     """Structural check of a sampled-run artifact; returns it."""
-    if not isinstance(obj, dict):
-        raise SignatureError(f"{source}: artifact root must be an object")
-    if obj.get("schema") != SIGNATURE_SCHEMA:
-        raise SignatureError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {SIGNATURE_SCHEMA!r})"
-        )
+    require_schema(obj, SIGNATURE_SCHEMA, source, SignatureError,
+                   "artifact root")
     if obj.get("kind") != SAMPLE_KIND:
         raise SignatureError(
             f"{source}: kind {obj.get('kind')!r} not supported "
             f"(need {SAMPLE_KIND!r})"
         )
-    for key in (
+    require_keys(obj, (
         "params",
         "scout_blocksteps",
         "prefix_blocksteps",
@@ -206,9 +207,7 @@ def validate_sample_artifact(obj: Any, source: str = "sample") -> dict[str, Any]
         "ci_high_us",
         "regimes",
         "signatures",
-    ):
-        if key not in obj:
-            raise SignatureError(f"{source}: missing required key {key!r}")
+    ), source, SignatureError)
     if not (obj["ci_low_us"] <= obj["estimated_total_us"] <= obj["ci_high_us"]):
         raise SignatureError(
             f"{source}: estimate must sit inside its confidence interval"
@@ -217,12 +216,9 @@ def validate_sample_artifact(obj: Any, source: str = "sample") -> dict[str, Any]
     if not isinstance(regimes, list) or not regimes:
         raise SignatureError(f"{source}: 'regimes' must be a non-empty list")
     for i, reg in enumerate(regimes):
-        for key in ("regime", "n_observed", "n_projected",
-                    "mean_wall_us", "ci_low_us", "ci_high_us"):
-            if key not in reg:
-                raise SignatureError(
-                    f"{source}: regimes[{i}] missing required key {key!r}"
-                )
+        require_keys(reg, ("regime", "n_observed", "n_projected",
+                           "mean_wall_us", "ci_low_us", "ci_high_us"),
+                     source, SignatureError, f"regimes[{i}] ")
     validate_signature_summary(obj["signatures"], source=f"{source}.signatures")
     return obj
 
@@ -230,21 +226,13 @@ def validate_sample_artifact(obj: Any, source: str = "sample") -> dict[str, Any]
 def write_sample_artifact(artifact: dict[str, Any], path: str | Path) -> Path:
     """Validate and write one sampled-run artifact (atomic rename)."""
     validate_sample_artifact(artifact, source=str(path))
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
-    return path
+    return atomic_write(
+        path, json.dumps(artifact, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def read_sample_artifact(path: str | Path) -> dict[str, Any]:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except OSError as exc:
-        raise SignatureError(f"{path}: cannot read artifact: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SignatureError(f"{path}: not valid JSON: {exc}") from exc
+    obj = read_json(path, SignatureError, "artifact")
     return validate_sample_artifact(obj, source=str(path))
 
 

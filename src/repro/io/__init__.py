@@ -1,5 +1,6 @@
 """Snapshot I/O, checkpoints, run logging and table formatting."""
 
+from .documents import atomic_write
 from .snapshot import (
     decode_json_safe,
     encode_json_safe,
@@ -21,6 +22,7 @@ from .runlog import RunLogger, read_runlog, read_runlog_records
 from .tables import format_table
 
 __all__ = [
+    "atomic_write",
     "write_snapshot",
     "read_snapshot",
     "encode_json_safe",

@@ -23,7 +23,6 @@ the very crash it guards against never shadows its intact predecessor.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -32,6 +31,7 @@ import numpy as np
 
 from ..core.individual import BlockTimestepIntegrator
 from ..core.particles import ParticleSystem
+from .documents import atomic_write, require_schema
 from .snapshot import decode_json_safe, encode_json_safe
 
 #: Bump on breaking layout changes; readers refuse mismatches.
@@ -110,21 +110,18 @@ def write_checkpoint(
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
     arrays = {
         name: getattr(integrator.system, name) for name in _SYSTEM_ARRAYS
     }
-    with tmp.open("wb") as fh:
-        np.savez_compressed(
+    return atomic_write(
+        path,
+        lambda fh: np.savez_compressed(
             fh,
             header=np.frombuffer(header.encode(), dtype=np.uint8),
             scheduler_t_next=t_next,
             **arrays,
-        )
-        fh.flush()
-        os.fsync(fh.fileno())
-    tmp.replace(path)
-    return path
+        ),
+    )
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
@@ -139,11 +136,8 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             meta = decode_json_safe(json.loads(bytes(data["header"]).decode()))
         except (KeyError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-        if not isinstance(meta, dict) or meta.get("schema") != CHECKPOINT_SCHEMA:
-            raise CheckpointError(
-                f"{path}: schema {meta.get('schema')!r} not supported "
-                f"(need {CHECKPOINT_SCHEMA!r})"
-            )
+        require_schema(meta, CHECKPOINT_SCHEMA, str(path), CheckpointError,
+                       "header")
         missing = [
             k for k in (*_SYSTEM_ARRAYS, "scheduler_t_next") if k not in data
         ]

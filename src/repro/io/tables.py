@@ -37,3 +37,30 @@ def format_table(
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
+
+
+def markdown_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]]
+) -> str:
+    """Render rows as a GitHub-flavoured markdown table (floats as
+    ``.4g``, everything else through str())."""
+    out = ["| " + " | ".join(headers) + " |",
+           "|" + "|".join(" --- " for _ in headers) + "|"]
+    for row in rows:
+        cells = [f"{c:.4g}" if isinstance(c, float) else str(c) for c in row]
+        out.append("| " + " | ".join(cells) + " |")
+    return "\n".join(out)
+
+
+_SHARE_SPARK = "▁▂▃▄▅▆▇█"
+
+
+def share_bar(share: float, width: int = 8) -> str:
+    """Tiny bar of a [0, 1] share (one glyph per 1/width of the range)."""
+    share = min(max(share, 0.0), 1.0)
+    full = int(share * width)
+    partial = share * width - full
+    bar = "█" * full
+    if partial > 0 and full < width:
+        bar += _SHARE_SPARK[min(int(partial * len(_SHARE_SPARK)), 7)]
+    return bar or "▁"

@@ -40,8 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..io.documents import require_keys, require_schema
 from ..telemetry import Histogram
-from ..telemetry.timeline import TRACE_PIDS
+from ..telemetry.timeline import TRACE_PIDS, lane_event, process_name_event
 
 #: Bump on breaking layout changes of the ledger export; the bench
 #: ``ledger`` CLI and the calibration fit refuse mismatches.
@@ -351,86 +352,53 @@ class CommLedger:
         and passes :func:`repro.telemetry.timeline.validate_timeline`.
         """
         name = label or f"comm[{self.nic}]"
-        out: list[dict[str, Any]] = [{
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": f"{name} ledger (virtual clock)"},
-        }]
-        for b in self.barrier_records:
-            for rank, (arrival, wait) in enumerate(
-                    zip(b.arrivals_us, b.wait_us)):
-                record: dict[str, Any] = {
-                    "name": "net.barrier.wait",
-                    "cat": "barrier",
-                    "ph": "X",
-                    "ts": arrival,
-                    "dur": wait,
-                    "pid": pid,
-                    "tid": rank,
-                    "args": {
-                        "barrier": b.index,
-                        "rank": rank,
-                        "straggler": b.straggler,
-                        "skew_us": b.skew_us,
-                        "sync_us": b.sync_us,
-                        "rounds": b.rounds,
-                    },
-                }
-                if wait <= 0.0:
-                    record.pop("dur")
-                    record["ph"] = "i"
-                    record["s"] = "t"
-                out.append(record)
-        for e in self.exchange_records:
-            record = {
-                "name": f"net.exchange.{e.kind}",
-                "cat": "exchange",
-                "ph": "X",
-                "ts": e.t_start_us,
-                "dur": e.dur_us,
-                "pid": pid,
-                "tid": self.n_ranks,
-                "args": {
+        events = [
+            lane_event(
+                "net.barrier.wait", "barrier", arrival, wait, pid, rank,
+                {
+                    "barrier": b.index,
+                    "rank": rank,
+                    "straggler": b.straggler,
+                    "skew_us": b.skew_us,
+                    "sync_us": b.sync_us,
+                    "rounds": b.rounds,
+                },
+            )
+            for b in self.barrier_records
+            for rank, (arrival, wait) in enumerate(zip(b.arrivals_us, b.wait_us))
+        ]
+        events += [
+            lane_event(
+                f"net.exchange.{e.kind}", "exchange", e.t_start_us, e.dur_us,
+                pid, self.n_ranks,
+                {
                     "kind": e.kind,
                     "messages": e.messages,
                     "bytes": e.bytes,
                     "n_particles": e.n_particles,
                 },
-            }
-            if e.dur_us <= 0.0:
-                record.pop("dur")
-                record["ph"] = "i"
-                record["s"] = "t"
-            out.append(record)
-        out.sort(key=lambda r: (0 if r["ph"] == "M" else 1, r.get("ts", 0.0)))
-        return out
+            )
+            for e in self.exchange_records
+        ]
+        events.sort(key=lambda r: r["ts"])
+        return [
+            process_name_event(pid, f"{name} ledger (virtual clock)"), *events
+        ]
 
 
 def validate_comm_ledger(obj: Any, source: str = "ledger") -> dict[str, Any]:
     """Check a ledger export against its schema; returns it on success."""
-    if not isinstance(obj, dict):
-        raise LedgerError(f"{source}: ledger root must be an object")
-    if obj.get("schema") != COMM_LEDGER_SCHEMA:
-        raise LedgerError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {COMM_LEDGER_SCHEMA!r})"
-        )
-    for key in _REQUIRED_LEDGER_KEYS:
-        if key not in obj:
-            raise LedgerError(f"{source}: missing required key {key!r}")
+    require_schema(obj, COMM_LEDGER_SCHEMA, source, LedgerError, "ledger root")
+    require_keys(obj, _REQUIRED_LEDGER_KEYS, source, LedgerError)
     links = obj["links"]
     if not isinstance(links, list):
         raise LedgerError(f"{source}: 'links' must be a list")
     for i, link in enumerate(links):
         if not isinstance(link, dict):
             raise LedgerError(f"{source}: links[{i}] must be an object")
-        for key in ("src", "dst", "kind", "messages", "bytes",
-                    "mean_bytes", "mean_flight_us"):
-            if key not in link:
-                raise LedgerError(
-                    f"{source}: links[{i}] missing required key {key!r}")
+        require_keys(link, ("src", "dst", "kind", "messages", "bytes",
+                            "mean_bytes", "mean_flight_us"),
+                     source, LedgerError, f"links[{i}] ")
     if not isinstance(obj["exchanges"], dict):
         raise LedgerError(f"{source}: 'exchanges' must be an object")
     return obj
@@ -460,3 +428,13 @@ def merge_comm_summaries(
         "barrier_wait_us": sum(
             s.get("barrier_wait_us", 0.0) for s in summaries),
     }
+
+
+def validate_comm_section(obj: Any, source: str = "comm") -> dict[str, Any]:
+    """Check an artifact ``comm`` section (a :func:`merge_comm_summaries`
+    rollup); returns it on success."""
+    require_schema(obj, COMM_LEDGER_SCHEMA, source, LedgerError, "section")
+    if not isinstance(obj.get("networks"), list):
+        raise LedgerError(f"{source}: must carry a 'networks' list")
+    return obj
+

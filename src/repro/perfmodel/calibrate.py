@@ -39,6 +39,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..io.documents import atomic_write, read_json, require_schema
+
 #: Bump on breaking layout changes of the calibration file.
 CALIBRATION_SCHEMA = "repro.perfmodel.calibration/1"
 
@@ -212,13 +214,7 @@ def calibrate_artifacts(
 
 def validate_calibration(obj: Any, source: str = "calibration") -> dict[str, Any]:
     """Check a calibration document; returns it on success."""
-    if not isinstance(obj, dict):
-        raise CalibrationError(f"{source}: root must be an object")
-    if obj.get("schema") != CALIBRATION_SCHEMA:
-        raise CalibrationError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {CALIBRATION_SCHEMA!r})"
-        )
+    require_schema(obj, CALIBRATION_SCHEMA, source, CalibrationError, "root")
     envs = obj.get("environments")
     if not isinstance(envs, dict):
         raise CalibrationError(f"{source}: 'environments' must be an object")
@@ -238,10 +234,7 @@ def load_calibration(path: str | Path) -> dict[str, Any]:
     path = Path(path)
     if not path.exists():
         return {"schema": CALIBRATION_SCHEMA, "environments": {}}
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise CalibrationError(f"{path}: not valid JSON: {exc}") from exc
+    obj = read_json(path, CalibrationError, "calibration")
     return validate_calibration(obj, source=str(path))
 
 
@@ -265,10 +258,9 @@ def save_calibration(calibration: dict[str, Any], path: str | Path) -> Path:
     validate_calibration(calibration, source=str(path))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(calibration, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
-    return path
+    return atomic_write(
+        path, json.dumps(calibration, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def calibrated_environment(

@@ -38,6 +38,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..core.particles import ParticleSystem
+from ..io.documents import atomic_write, read_json, require_schema
 from ..core.softening import constant_softening
 from ..models import (
     cold_sphere,
@@ -119,13 +120,7 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, doc: Any, source: str = "job spec") -> "JobSpec":
-        if not isinstance(doc, dict):
-            raise JobError(f"{source}: spec must be an object")
-        if doc.get("schema") != JOB_SCHEMA:
-            raise JobError(
-                f"{source}: schema {doc.get('schema')!r} not supported "
-                f"(need {JOB_SCHEMA!r})"
-            )
+        require_schema(doc, JOB_SCHEMA, source, JobError, "spec")
         kind = doc.get("kind")
         if kind not in JOB_KINDS:
             raise JobError(
@@ -261,14 +256,7 @@ def _validate_run_params(params: dict[str, Any], source: str) -> None:
 
 
 def load_job(path: str | Path) -> JobSpec:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise JobError(f"{path}: cannot read spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise JobError(f"{path}: not valid JSON: {exc}") from exc
-    return JobSpec.from_dict(doc, source=str(path))
+    return JobSpec.from_dict(read_json(path, JobError, "spec"), source=str(path))
 
 
 # -- the job directory ------------------------------------------------------
@@ -316,7 +304,7 @@ class JobPaths:
 
 
 def write_state(paths: JobPaths, status: str, **fields: Any) -> dict[str, Any]:
-    """Atomically rewrite ``state.json`` (temp + rename)."""
+    """Atomically rewrite ``state.json`` (:func:`repro.io.atomic_write`)."""
     if status not in STATUSES:
         raise JobError(f"unknown status {status!r}")
     state = {
@@ -327,25 +315,13 @@ def write_state(paths: JobPaths, status: str, **fields: Any) -> dict[str, Any]:
         **fields,
     }
     paths.root.mkdir(parents=True, exist_ok=True)
-    tmp = paths.state.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
-    tmp.replace(paths.state)
+    atomic_write(paths.state, json.dumps(state, indent=2, sort_keys=True) + "\n")
     return state
 
 
 def read_state(paths: JobPaths) -> dict[str, Any]:
-    try:
-        state = json.loads(paths.state.read_text())
-    except OSError as exc:
-        raise JobError(f"{paths.state}: cannot read state: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise JobError(f"{paths.state}: not valid JSON: {exc}") from exc
-    if not isinstance(state, dict) or state.get("schema") != STATE_SCHEMA:
-        raise JobError(
-            f"{paths.state}: schema {state.get('schema') if isinstance(state, dict) else None!r} "
-            f"not supported (need {STATE_SCHEMA!r})"
-        )
-    return state
+    state = read_json(paths.state, JobError, "state")
+    return require_schema(state, STATE_SCHEMA, str(paths.state), JobError, "state")
 
 
 # -- workload construction --------------------------------------------------

@@ -54,21 +54,25 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..telemetry.observatory import (
+    KIND_EFFICIENCY,
+    KIND_RANK,
+    KIND_SIGNATURE,
+    OBSERVATORIES,
+)
+
 #: Bump on breaking record-layout changes.
 SNAPSHOT_RECORD_SCHEMA = "repro.snapshot_record/1"
 
 KIND_STATE = "state"
 KIND_PHASES = "phases"
-KIND_SIGNATURE = "signature"
-KIND_EFFICIENCY = "efficiency"
-KIND_RANK = "rank"
 KIND_CHECKPOINT = "checkpoint"
 KIND_DISCONTINUITY = "discontinuity"
 KIND_JOB = "job"
 KIND_BENCH_ARTIFACT = "bench_artifact"
 
-#: Every kind the bus will emit; consumers may rely on this being
-#: exhaustive for the schema version above.
+#: Every kind the bus emits for the built-in observatories; an
+#: observatory registered later adds its own kind (:func:`known_kind`).
 RECORD_KINDS = (
     KIND_STATE,
     KIND_PHASES,
@@ -84,6 +88,11 @@ RECORD_KINDS = (
 
 class RecordError(ValueError):
     """Raised for malformed snapshot records."""
+
+
+def known_kind(kind: Any) -> bool:
+    """A kind of :data:`RECORD_KINDS` or of a registered observatory."""
+    return kind in RECORD_KINDS or kind in {o.kind for o in OBSERVATORIES} - {None}
 
 
 @dataclass(frozen=True)
@@ -119,7 +128,7 @@ class SnapshotRecord:
                 f"(need {SNAPSHOT_RECORD_SCHEMA!r})"
             )
         kind = rec.get("kind")
-        if kind not in RECORD_KINDS:
+        if not known_kind(kind):
             raise RecordError(f"unknown record kind {kind!r}")
         return cls(
             seq=int(rec["seq"]),
@@ -134,7 +143,7 @@ def make_record(
     seq: int, kind: str, t: float | None = None, **payload: Any
 ) -> SnapshotRecord:
     """Build one record, stamping the wall clock."""
-    if kind not in RECORD_KINDS:
+    if not known_kind(kind):
         raise RecordError(f"unknown record kind {kind!r}")
     return SnapshotRecord(
         seq=seq, kind=kind, wall_unix=time.time(), t=t, payload=payload

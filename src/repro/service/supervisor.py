@@ -28,6 +28,7 @@ five times still respects one total budget.
 
 from __future__ import annotations
 
+import json
 import signal
 import threading
 import time
@@ -44,16 +45,10 @@ from ..io.checkpoint import (
     restore_integrator,
     write_checkpoint,
 )
+from ..io.documents import atomic_write
 from ..io.snapshot import write_snapshot
-from ..telemetry import (
-    FlopsLedger,
-    RankLedger,
-    RegimeTracker,
-    SignatureRecorder,
-    StreamingPhaseSink,
-    Tracer,
-    set_tracer,
-)
+from ..telemetry import StreamingPhaseSink, Tracer, set_tracer
+from ..telemetry.observatory import OBSERVATORIES
 from .bus import SnapshotBus
 from .consumers import ArchiveWriter, BenchHistoryIngester, ProgressReporter
 from .jobs import (
@@ -72,11 +67,8 @@ from .records import (
     KIND_BENCH_ARTIFACT,
     KIND_CHECKPOINT,
     KIND_DISCONTINUITY,
-    KIND_EFFICIENCY,
     KIND_JOB,
     KIND_PHASES,
-    KIND_RANK,
-    KIND_SIGNATURE,
     KIND_STATE,
 )
 
@@ -138,11 +130,8 @@ class Supervisor:
         if paths.spec.exists():
             raise JobError(f"{paths.spec}: job already exists")
         paths.root.mkdir(parents=True, exist_ok=True)
-        import json
-
-        paths.spec.write_text(
-            json.dumps(spec.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        atomic_write(paths.spec,
+                     json.dumps(spec.as_dict(), indent=2, sort_keys=True) + "\n")
         write_state(paths, "queued", name=spec.name, kind=spec.kind)
         return sup
 
@@ -179,31 +168,20 @@ class Supervisor:
     def _execute_run(self, spec: JobSpec, bus: SnapshotBus, resume: bool) -> str:
         params = spec.params
         phase_sink = StreamingPhaseSink()
-        # phase observatory: O(1)-per-blockstep signature capture and
-        # streaming regime clustering (keep=False — a week-long run must
-        # not accumulate per-blockstep state)
-        regimes = RegimeTracker()
-        sig_recorder = SignatureRecorder(callback=regimes.update, keep=False)
         backend = build_backend(params)
-        # efficiency observatory: always-on flops accounting, priced
-        # against the emulator backend's introspected peak (or the
-        # paper's single host when running on direct summation);
-        # keep=False — running totals only, O(1) for unbounded runs
-        eff = FlopsLedger(
-            hardware=backend if hasattr(backend, "peak_flops") else None,
-            keep=False,
-        )
-        tracer = Tracer(enabled=True, sinks=[phase_sink, sig_recorder, eff])
         # a parallel run's virtual-time results are bit-identical on
         # every execution backend (property-pinned), so the spec's
         # exec_backend — and even a resume that switches it — is purely
         # a placement choice
         algorithm = build_parallel(params, exec_backend=spec.exec_backend)
-        # rank observatory: real-execution telemetry from the dispatch
-        # observer; keep=False — running totals only, O(1) for
-        # unbounded runs (no per-blockstep records, so no placement
-        # cross-attribution here — the bench harness does that)
-        ranks = RankLedger(keep=False) if algorithm is not None else None
+        # every observatory's always-on account for this job
+        live = [
+            (obs, account) for obs in OBSERVATORIES
+            if (account := obs.live(backend, algorithm)) is not None
+        ]
+        sinks = [obs.sink(account) for obs, account in live]
+        tracer = Tracer(enabled=True, sinks=[
+            phase_sink, *(s for s in sinks if s is not None)])
 
         if resume:
             ck_path = self.paths.latest_checkpoint()
@@ -252,8 +230,8 @@ class Supervisor:
             rng = np.random.default_rng(params.get("seed", 1))
             wall_consumed = 0.0
 
-        if ranks is not None and hasattr(integ, "observe_ranks"):
-            integ.observe_ranks(ranks)
+        for obs, account in live:
+            obs.attach(account, integ)
 
         bus.emit(
             KIND_JOB,
@@ -273,6 +251,11 @@ class Supervisor:
         def total_wall() -> float:
             return wall_consumed + (time.perf_counter() - segment_t0)
 
+        def observed_state() -> dict[str, Any]:
+            """Every observatory's ``state.json`` face."""
+            return {k: v for obs, account in live
+                    for k, v in obs.state(account).items()}
+
         def checkpoint(reason: str) -> Path:
             nonlocal last_ck_wall
             path = self.paths.checkpoint_path(integ.stats.blocksteps)
@@ -288,21 +271,15 @@ class Supervisor:
                 blockstep=integ.stats.blocksteps, reason=reason,
             )
             bus.emit(KIND_PHASES, t=integ.t, **phase_sink.snapshot())
-            if regimes.count:
-                bus.emit(KIND_SIGNATURE, t=integ.t,
-                         **_signature_payload(regimes))
-            if eff.count:
-                bus.emit(KIND_EFFICIENCY, t=integ.t,
-                         **_efficiency_payload(eff))
-            if ranks is not None and ranks.count:
-                bus.emit(KIND_RANK, t=integ.t, **_rank_payload(ranks))
+            for obs, account in live:
+                payload = obs.payload(account)
+                if payload is not None:
+                    bus.emit(obs.kind, t=integ.t, **payload)
             write_state(
                 self.paths, "running", name=spec.name, kind=spec.kind,
                 t=integ.t, blocksteps=integ.stats.blocksteps,
                 wall_s=total_wall(), last_checkpoint=str(path),
-                **_regime_state(regimes),
-                **_efficiency_state(eff),
-                **_rank_state(ranks),
+                **observed_state(),
             )
             return path
 
@@ -359,9 +336,7 @@ class Supervisor:
                 t=integ.t, blocksteps=integ.stats.blocksteps,
                 wall_s=total_wall(), reason=interrupted,
                 last_checkpoint=str(path),
-                **_regime_state(regimes),
-                **_efficiency_state(eff),
-                **_rank_state(ranks),
+                **observed_state(),
             )
             return "interrupted"
 
@@ -381,9 +356,7 @@ class Supervisor:
             t=integ.t, blocksteps=integ.stats.blocksteps,
             wall_s=total_wall(), last_checkpoint=str(path),
             final_snapshot=str(self.paths.final_snapshot),
-            **_regime_state(regimes),
-            **_efficiency_state(eff),
-            **_rank_state(ranks),
+            **observed_state(),
         )
         return "completed"
 
@@ -485,105 +458,6 @@ class Supervisor:
             "checkpoints": checkpoints,
             "archive_records": _count_lines(self.paths.archive),
         }
-
-
-def _signature_payload(regimes: "RegimeTracker") -> dict[str, Any]:
-    """Bus payload of the phase observatory's current view: flat
-    scalars (so ``tail``'s text mode shows them) plus the nested
-    ``repro.phase_signature/1`` summary document."""
-    dominant, share = regimes.dominant_regime()
-    return {
-        "regime": regimes.current,
-        "n_regimes": regimes.n_regimes,
-        "dominant_regime": dominant,
-        "dominant_share": share,
-        "blocksteps": regimes.count,
-        "changes": len(regimes.changes),
-        "lane": regimes.lane(),
-        "summary": regimes.summary(),
-    }
-
-
-def _efficiency_payload(eff: "FlopsLedger") -> dict[str, Any]:
-    """Bus payload of the efficiency observatory's running account:
-    flat scalars (so ``tail``'s text mode shows them) plus the nested
-    ``repro.efficiency/1`` waterfall document."""
-    summary = eff.summary()
-    return {
-        "fraction_of_peak": summary["fraction_of_peak"],
-        "real_gflops": summary["real_gflops"],
-        "blocksteps": summary["blocksteps"],
-        "clock": summary["clock"],
-        "top_loss": max(
-            summary["buckets"],
-            key=lambda b: summary["buckets"][b]["fraction"],
-        ),
-        "summary": summary,
-    }
-
-
-def _rank_payload(ranks: "RankLedger") -> dict[str, Any]:
-    """Bus payload of the rank observatory's running account: flat
-    scalars (so ``tail``'s text mode shows them) plus the nested
-    ``repro.rank_sample/1`` summary document."""
-    summary = ranks.summary()
-    return {
-        "blocksteps": summary["blocksteps"],
-        "tasks": summary["tasks"],
-        "n_ranks": summary["n_ranks"],
-        "utilisation": summary["utilisation"],
-        "real_skew_us_mean": summary["real_skew_us"]["mean"],
-        "real_skew_us_max": summary["real_skew_us"]["max"],
-        "publish_bytes_per_step": summary["publish_bytes_per_step"],
-        "summary": summary,
-    }
-
-
-def _rank_state(ranks: "RankLedger | None") -> dict[str, Any]:
-    """The ``state.json`` face of the rank observatory (``status``
-    shows it; ``service metrics`` projects it into gauges)."""
-    if ranks is None or not ranks.count:
-        return {}
-    return {
-        "rank": {
-            "n_ranks": ranks.n_ranks,
-            "real_skew_us_mean": ranks.mean_real_skew_us(),
-            "utilisation": (
-                ranks.busy_total_us / ranks.rank_span_us
-                if ranks.rank_span_us > 0 else 0.0
-            ),
-            "publish_bytes_per_step": (
-                ranks.publish_bytes / ranks.count if ranks.count else 0.0
-            ),
-        },
-    }
-
-
-def _efficiency_state(eff: "FlopsLedger") -> dict[str, Any]:
-    """The ``state.json`` face of the flops account (``status`` shows it)."""
-    if not eff.count:
-        return {}
-    return {
-        "fraction_of_peak": eff.fraction_of_peak,
-        "real_gflops": (
-            eff.real_flops / eff.span_us * 1.0e6 / 1.0e9
-            if eff.span_us > 0 else 0.0
-        ),
-    }
-
-
-def _regime_state(regimes: "RegimeTracker") -> dict[str, Any]:
-    """The ``state.json`` face of the observatory (``status`` shows it)."""
-    if not regimes.count:
-        return {}
-    dominant, share = regimes.dominant_regime()
-    return {
-        "regime": regimes.current,
-        "n_regimes": regimes.n_regimes,
-        "dominant_regime": dominant,
-        "dominant_share": share,
-        "regime_lane": regimes.lane(max_runs=8),
-    }
 
 
 def _count_lines(path: Path) -> int:

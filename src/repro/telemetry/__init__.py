@@ -41,6 +41,7 @@ Quick start::
 from .metrics import Counter, Gauge, Histogram, Metrics
 from .tracer import SpanEvent, Tracer, configure, get_tracer, set_tracer
 from .phases import (
+    ATTRIBUTION_RULES,
     DEFAULT_SPAN_PHASES,
     PAPER_PHASE_NAMES,
     PHASES,
@@ -118,6 +119,7 @@ from .ranks import (
     RankBlockstep,
     RankError,
     RankLedger,
+    rank_summary_metrics,
     rank_trace_events,
     ranks_from_reports,
     validate_rank_record,
@@ -128,7 +130,6 @@ from .openmetrics import (
     artifact_metrics,
     job_metrics,
     parse_openmetrics,
-    rank_summary_metrics,
     render_openmetrics,
     write_openmetrics,
 )
@@ -150,6 +151,7 @@ __all__ = [
     "PHASES",
     "PAPER_PHASE_NAMES",
     "DEFAULT_SPAN_PHASES",
+    "ATTRIBUTION_RULES",
     "T_HOST",
     "T_PIPE",
     "T_COMM",

@@ -44,14 +44,14 @@ wall clock when no simulated network drives one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..constants import FLOPS_PER_INTERACTION
+from ..io.documents import require_finite, require_schema
 from .phases import DEFAULT_SPAN_PHASES, T_BARRIER, T_COMM, T_OTHER, T_PIPE
 from .signatures import ROOT_SPAN
-from .timeline import TRACE_PIDS
+from .timeline import TRACE_PIDS, lane_event, process_name_event
 from .tracer import SpanEvent
 
 #: Bump on breaking efficiency-record/section layout changes.
@@ -480,17 +480,10 @@ def validate_efficiency(obj: Any, source: str = "efficiency") -> dict[str, Any]:
     document: schema, all buckets present and finite, fractions within
     [0, 1], and ``real + sum(buckets) == peak`` within float tolerance.
     """
-    if not isinstance(obj, dict):
-        raise EfficiencyError(f"{source}: efficiency section must be an object")
-    if obj.get("schema") != EFFICIENCY_SCHEMA:
-        raise EfficiencyError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {EFFICIENCY_SCHEMA!r})"
-        )
-    for key in ("blocksteps", "peak_flops", "real_flops", "fraction_of_peak"):
-        val = obj.get(key)
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise EfficiencyError(f"{source}: {key!r} must be a finite number")
+    require_schema(obj, EFFICIENCY_SCHEMA, source, EfficiencyError,
+                   "efficiency section")
+    require_finite(obj, ("blocksteps", "peak_flops", "real_flops",
+                         "fraction_of_peak"), source, EfficiencyError)
     buckets = obj.get("buckets")
     if not isinstance(buckets, dict):
         raise EfficiencyError(f"{source}: must carry a 'buckets' object")
@@ -499,12 +492,9 @@ def validate_efficiency(obj: Any, source: str = "efficiency") -> dict[str, Any]:
         entry = buckets.get(b)
         if not isinstance(entry, dict):
             raise EfficiencyError(f"{source}: bucket {b!r} missing")
-        flops, frac = entry.get("flops"), entry.get("fraction")
-        for key, val in (("flops", flops), ("fraction", frac)):
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise EfficiencyError(
-                    f"{source}: bucket {b!r} {key!r} must be a finite number"
-                )
+        require_finite(entry, ("flops", "fraction"), source, EfficiencyError,
+                       f"bucket {b!r} ")
+        flops, frac = entry["flops"], entry["fraction"]
         if not -1e-9 <= float(frac) <= 1.0 + 1e-9:
             raise EfficiencyError(
                 f"{source}: bucket {b!r} fraction {frac} outside [0, 1]"
@@ -527,37 +517,19 @@ def efficiency_trace_events(
     """The efficiency lane: one complete ("X") event per kept
     blockstep record in the wall-clock time base, labelled with its
     fraction of peak, under the registry's efficiency pid."""
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "efficiency (fraction of peak)"},
-        }
-    ]
-    for rec in ledger.records:
-        event: dict[str, Any] = {
-            "name": f"eff {rec.fraction_of_peak:.0%}",
-            "cat": "efficiency",
-            "ph": "X",
-            "ts": rec.t_start_us,
-            "dur": rec.wall_us,
-            "pid": pid,
-            "tid": 1,
-            "args": {
+    return [process_name_event(pid, "efficiency (fraction of peak)")] + [
+        lane_event(
+            f"eff {rec.fraction_of_peak:.0%}", "efficiency", rec.t_start_us,
+            rec.wall_us, pid, 1,
+            {
                 "blockstep": rec.blockstep,
                 "block_size": rec.block_size,
                 "fraction_of_peak": rec.fraction_of_peak,
                 "clock": rec.clock,
             },
-        }
-        if rec.wall_us <= 0.0:
-            event.pop("dur")
-            event["ph"] = "i"
-            event["s"] = "t"
-        events.append(event)
-    return events
+        )
+        for rec in ledger.records
+    ]
 
 
 # -- convenience -------------------------------------------------------------
@@ -571,3 +543,46 @@ def efficiency_from_events(
     for e in events:
         ledger.emit(e)
     return ledger
+
+
+def per_regime_efficiency(
+    records: list, tracker: Any
+) -> list[dict[str, Any]]:
+    """Join per-blockstep efficiency records onto phase-observatory
+    regime runs (matched on blockstep index), one aggregate row per
+    contiguous regime run: which scheduling regime wastes which flops.
+    """
+    rows: list[dict[str, Any]] = []
+    for run in getattr(tracker, "runs", []):
+        start = run.start_blockstep
+        stop = start + run.count
+        peak = real = 0.0
+        buckets = {b: 0.0 for b in BUCKETS}
+        n_steps = 0
+        for rec in records:
+            if start <= rec.blockstep < stop:
+                peak += rec.peak_flops
+                real += rec.real_flops
+                for b in BUCKETS:
+                    buckets[b] += rec.buckets.get(b, 0.0)
+                n_steps += 1
+        if n_steps == 0:
+            continue
+        rows.append(
+            {
+                "regime": run.regime,
+                "start_blockstep": start,
+                "blocksteps": n_steps,
+                "peak_flops": peak,
+                "real_flops": real,
+                "fraction_of_peak": real / peak if peak > 0 else 0.0,
+                "buckets": {
+                    b: {
+                        "flops": buckets[b],
+                        "fraction": buckets[b] / peak if peak > 0 else 0.0,
+                    }
+                    for b in BUCKETS
+                },
+            }
+        )
+    return rows

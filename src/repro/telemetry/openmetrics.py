@@ -22,6 +22,8 @@ import math
 import re
 from typing import Any, Iterable
 
+from ..io.documents import atomic_write, finite
+
 #: One exported sample: (metric name, labels, value).
 MetricSample = "tuple[str, dict[str, str], float]"
 
@@ -141,72 +143,24 @@ def parse_openmetrics(
 
 
 def write_openmetrics(path, samples, help_text=None):
-    """Render and write one exposition; returns the path."""
-    from pathlib import Path
-
-    path = Path(path)
-    path.write_text(render_openmetrics(samples, help_text=help_text))
-    return path
+    """Render and write one exposition atomically (a textfile scraper
+    never reads a half-written file); returns the path."""
+    return atomic_write(path, render_openmetrics(samples, help_text=help_text))
 
 
 # -- projections -------------------------------------------------------------
-
-
-def _num(value: Any, default: float = 0.0) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        return default
-    return v if math.isfinite(v) else default
-
-
-def rank_summary_metrics(
-    summary: dict[str, Any], labels: dict[str, str] | None = None
-) -> list[tuple[str, dict[str, str], float]]:
-    """Gauges from a ``repro.rank_sample/1`` section."""
-    labels = dict(labels or {})
-    out = [
-        ("repro_rank_blocksteps", labels, _num(summary.get("blocksteps"))),
-        ("repro_rank_tasks", labels, _num(summary.get("tasks"))),
-        ("repro_rank_busy_us", labels, _num(summary.get("busy_us"))),
-        ("repro_rank_idle_us", labels, _num(summary.get("idle_us"))),
-        ("repro_rank_utilisation", labels, _num(summary.get("utilisation"))),
-        ("repro_rank_publish_bytes", labels, _num(summary.get("publish_bytes"))),
-        (
-            "repro_rank_publish_bytes_per_step",
-            labels,
-            _num(summary.get("publish_bytes_per_step")),
-        ),
-        (
-            "repro_rank_real_skew_us_mean",
-            labels,
-            _num((summary.get("real_skew_us") or {}).get("mean")),
-        ),
-    ]
-    placement = summary.get("placement")
-    if isinstance(placement, dict):
-        out.append((
-            "repro_rank_placement_gap_us_mean",
-            labels,
-            _num((placement.get("gap_us") or {}).get("mean")),
-        ))
-    for row in summary.get("ranks") or []:
-        if isinstance(row, dict):
-            rank_labels = {**labels, "rank": str(row.get("rank", "?"))}
-            out.append((
-                "repro_rank_busy_us_by_rank",
-                rank_labels,
-                _num(row.get("busy_us")),
-            ))
-    return out
 
 
 def artifact_metrics(
     artifact: dict[str, Any],
 ) -> list[tuple[str, dict[str, str], float]]:
     """Gauges from a ``repro.bench/1`` artifact (the ``bench run
-    --metrics`` projection): per benchmark the median wall, the
-    efficiency headline, and the rank-observatory headline numbers."""
+    --metrics`` projection): per benchmark the median wall, then each
+    observatory section's projection."""
+    # imported late: the registry pulls in repro.parallel, which needs
+    # this package initialised
+    from .observatory import OBSERVATORIES
+
     suite = str(artifact.get("suite", "?"))
     out: list[tuple[str, dict[str, str], float]] = []
     for entry in artifact.get("benchmarks") or []:
@@ -217,61 +171,35 @@ def artifact_metrics(
         out.append((
             "repro_bench_wall_seconds_median",
             labels,
-            _num(stats.get("median")),
+            finite(stats.get("median")),
         ))
-        eff = entry.get("efficiency")
-        if isinstance(eff, dict):
-            out.append((
-                "repro_bench_fraction_of_peak",
-                labels,
-                _num(eff.get("fraction_of_peak")),
-            ))
-            out.append((
-                "repro_bench_real_gflops",
-                labels,
-                _num(eff.get("real_gflops")),
-            ))
-        rank = entry.get("rank")
-        if isinstance(rank, dict):
-            out.extend(rank_summary_metrics(rank, labels))
+        for obs in OBSERVATORIES:
+            out.extend(obs.metrics(entry.get(obs.name), labels))
     return out
 
 
 def job_metrics(
     name: str, status: dict[str, Any]
 ) -> list[tuple[str, dict[str, str], float]]:
-    """Gauges from one service job's ``state.json`` document."""
+    """Gauges from one service job's ``state.json`` document: progress,
+    then each observatory's projection of its ``state.json`` face."""
+    from .observatory import OBSERVATORIES
+
     labels = {"job": str(name), "status": str(status.get("status", "?"))}
     checkpoints = status.get("checkpoints")
     out = [
-        ("repro_job_t", labels, _num(status.get("t"))),
-        ("repro_job_blocksteps", labels, _num(status.get("blocksteps"))),
-        ("repro_job_wall_seconds", labels, _num(status.get("wall_s"))),
+        ("repro_job_t", labels, finite(status.get("t"))),
+        ("repro_job_blocksteps", labels, finite(status.get("blocksteps"))),
+        ("repro_job_wall_seconds", labels, finite(status.get("wall_s"))),
         (
             "repro_job_checkpoints",
             labels,
             # ``status()`` carries the checkpoint *names*; state.json
             # alone may carry a count — accept both faces
             float(len(checkpoints)) if isinstance(checkpoints, (list, tuple))
-            else _num(checkpoints),
+            else finite(checkpoints),
         ),
     ]
-    if status.get("fraction_of_peak") is not None:
-        out.append((
-            "repro_job_fraction_of_peak",
-            labels,
-            _num(status.get("fraction_of_peak")),
-        ))
-    rank = status.get("rank")
-    if isinstance(rank, dict):
-        out.append((
-            "repro_job_real_skew_us_mean",
-            labels,
-            _num(rank.get("real_skew_us_mean")),
-        ))
-        out.append((
-            "repro_job_rank_utilisation",
-            labels,
-            _num(rank.get("utilisation")),
-        ))
+    for obs in OBSERVATORIES:
+        out.extend(obs.job_metrics(status, labels))
     return out

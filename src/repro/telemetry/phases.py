@@ -67,6 +67,23 @@ DEFAULT_SPAN_PHASES: dict[str, str] = {
     "net.barrier": T_BARRIER,
 }
 
+#: Ordered direct-attribution rules for code outside any span: (path
+#: fragment, function name or None for any, phase).  First match wins;
+#: paths are '/'-normalised.
+ATTRIBUTION_RULES: list[tuple[str, str | None, str]] = [
+    ("repro/parallel/simcomm.py", "barrier", T_BARRIER),
+    ("repro/parallel/barrier.py", None, T_BARRIER),
+    ("repro/parallel/simcomm.py", None, T_COMM),
+    ("repro/parallel/virtualtime.py", None, T_COMM),
+    ("repro/parallel/", None, T_COMM),
+    ("repro/forces/", None, T_PIPE),
+    ("repro/hardware/", None, T_PIPE),
+    ("repro/telemetry/", None, T_OTHER),
+    ("repro/core/", None, T_HOST),
+    ("repro/perfmodel/", None, T_HOST),
+    ("repro/models/", None, T_HOST),
+]
+
 
 @dataclass
 class PhaseTotals:

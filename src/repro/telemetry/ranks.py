@@ -44,12 +44,12 @@ coherent real-time axis in the Chrome trace
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from ..io.documents import finite, require_finite, require_schema
 from .metrics import Histogram
-from .timeline import TRACE_PIDS
+from .timeline import TRACE_PIDS, lane_event, process_name_event
 
 #: Bump on breaking rank-sample/record/section layout changes.
 RANK_SAMPLE_SCHEMA = "repro.rank_sample/1"
@@ -77,15 +77,6 @@ IDLE_BUCKETS = ("imbalance", "overhead")
 
 class RankError(ValueError):
     """Raised for malformed rank samples, records and sections."""
-
-
-def _finite(value: Any, default: float = 0.0) -> float:
-    """Coerce to a finite non-NaN float (degenerate inputs -> 0.0)."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        return default
-    return v if math.isfinite(v) else default
 
 
 # -- per-blockstep record ----------------------------------------------------
@@ -263,9 +254,9 @@ class RankLedger:
             name = str(rep.get("backend", "?"))
             if name not in backends:
                 backends.append(name)
-            span_wall += _finite(rep.get("span_wall_us"))
+            span_wall += finite(rep.get("span_wall_us"))
             if rep.get("t_start_us") is not None:
-                t_starts.append(_finite(rep.get("t_start_us")))
+                t_starts.append(finite(rep.get("t_start_us")))
             publish += int(rep.get("publish_bytes", 0) or 0)
             hist = self._backend_hist.get(name)
             if hist is None:
@@ -275,12 +266,12 @@ class RankLedger:
             for sample in rep.get("samples", ()):
                 tasks += 1
                 rank = int(sample.get("rank", 0) or 0)
-                wall = _finite(sample.get("wall_us"))
-                cpu_us = _finite(sample.get("cpu_us"))
+                wall = finite(sample.get("wall_us"))
+                cpu_us = finite(sample.get("cpu_us"))
                 busy[rank] = busy.get(rank, 0.0) + wall
                 cpu[rank] = cpu.get(rank, 0.0) + cpu_us
                 attach += int(sample.get("attach_bytes", 0) or 0)
-                maxrss = max(maxrss, _finite(sample.get("maxrss_kb")))
+                maxrss = max(maxrss, finite(sample.get("maxrss_kb")))
                 vol += int(sample.get("vol_ctx_switches", 0) or 0)
                 invol += int(sample.get("invol_ctx_switches", 0) or 0)
                 minf += int(sample.get("minor_faults", 0) or 0)
@@ -301,8 +292,8 @@ class RankLedger:
                 if self._keep:
                     task_events.append((
                         float(rank),
-                        _finite(sample.get("pid")),
-                        _finite(sample.get("t_start_us")),
+                        finite(sample.get("pid")),
+                        finite(sample.get("t_start_us")),
                         wall,
                         cpu_us,
                     ))
@@ -552,7 +543,7 @@ def _virtual_skews(comm: Any, count: int) -> list[float]:
             skew = getattr(rec, "skew_us", None)
             if skew is None and isinstance(rec, dict):
                 skew = rec.get("skew_us")
-            out.append(_finite(skew))
+            out.append(finite(skew))
         return out
     mean = None
     if isinstance(comm, dict):
@@ -561,7 +552,7 @@ def _virtual_skews(comm: Any, count: int) -> list[float]:
             nets = comm.get("networks")
             if isinstance(nets, list) and nets:
                 vals = [
-                    _finite(n.get("mean_barrier_skew_us"))
+                    finite(n.get("mean_barrier_skew_us"))
                     for n in nets if isinstance(n, dict)
                 ]
                 mean = sum(vals) / len(vals) if vals else None
@@ -569,7 +560,7 @@ def _virtual_skews(comm: Any, count: int) -> list[float]:
         mean = comm.mean_barrier_skew_us()
     if mean is None:
         return []
-    return [_finite(mean)] * count
+    return [finite(mean)] * count
 
 
 # -- validation --------------------------------------------------------------
@@ -579,18 +570,10 @@ def validate_rank_record(obj: Any, source: str = "rank") -> dict[str, Any]:
     """Structural + arithmetic check of one blockstep record: schema,
     finite numerics (zero-valued degenerates pass, NaN never does), and
     the per-rank identity ``busy[r] + idle[r] == span_wall_us``."""
-    if not isinstance(obj, dict):
-        raise RankError(f"{source}: rank record must be an object")
-    if obj.get("schema") != RANK_SAMPLE_SCHEMA:
-        raise RankError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {RANK_SAMPLE_SCHEMA!r})"
-        )
-    for key in ("blockstep", "n_ranks", "dispatches", "tasks",
-                "span_wall_us", "real_skew_us", "publish_bytes"):
-        val = obj.get(key)
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise RankError(f"{source}: {key!r} must be a finite number")
+    require_schema(obj, RANK_SAMPLE_SCHEMA, source, RankError, "rank record")
+    require_finite(obj, ("blockstep", "n_ranks", "dispatches", "tasks",
+                         "span_wall_us", "real_skew_us", "publish_bytes"),
+                   source, RankError)
     busy, idle = obj.get("busy_us"), obj.get("idle_us")
     if not isinstance(busy, list) or not isinstance(idle, list):
         raise RankError(f"{source}: must carry 'busy_us'/'idle_us' lists")
@@ -602,11 +585,8 @@ def validate_rank_record(obj: Any, source: str = "rank") -> dict[str, Any]:
     span = float(obj["span_wall_us"])
     tol = max(1e-9 * max(abs(span), 1.0), 1e-6)
     for r, (b, i) in enumerate(zip(busy, idle)):
-        for key, val in (("busy_us", b), ("idle_us", i)):
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise RankError(
-                    f"{source}: rank {r} {key!r} must be a finite number"
-                )
+        require_finite({"busy_us": b, "idle_us": i}, ("busy_us", "idle_us"),
+                       source, RankError, f"rank {r} ")
         if abs(float(b) + float(i) - span) > tol:
             raise RankError(
                 f"{source}: rank {r} busy + idle = {float(b) + float(i)} "
@@ -619,30 +599,18 @@ def validate_rank_section(obj: Any, source: str = "rank") -> dict[str, Any]:
     """Check a :meth:`RankLedger.summary` section: schema, finite
     numerics, the run-level identity ``busy + idle == rank_span``, and
     (when present) that the placement buckets sum to idle exactly."""
-    if not isinstance(obj, dict):
-        raise RankError(f"{source}: rank section must be an object")
-    if obj.get("schema") != RANK_SAMPLE_SCHEMA:
-        raise RankError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {RANK_SAMPLE_SCHEMA!r})"
-        )
-    for key in ("blocksteps", "dispatches", "tasks", "n_ranks",
-                "span_wall_us", "rank_span_us", "busy_us", "idle_us",
-                "cpu_us", "utilisation", "publish_bytes", "attach_bytes",
-                "publish_bytes_per_step"):
-        val = obj.get(key)
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise RankError(f"{source}: {key!r} must be a finite number")
+    require_schema(obj, RANK_SAMPLE_SCHEMA, source, RankError, "rank section")
+    require_finite(obj, ("blocksteps", "dispatches", "tasks", "n_ranks",
+                         "span_wall_us", "rank_span_us", "busy_us", "idle_us",
+                         "cpu_us", "utilisation", "publish_bytes",
+                         "attach_bytes", "publish_bytes_per_step"),
+                   source, RankError)
     skew = obj.get("real_skew_us")
     if not isinstance(skew, dict):
         raise RankError(f"{source}: must carry a 'real_skew_us' object")
     for key in ("mean", "max", "total"):
-        val = skew.get(key)
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise RankError(
-                f"{source}: real_skew_us {key!r} must be a finite number"
-            )
-        if val < 0.0:
+        require_finite(skew, (key,), source, RankError, "real_skew_us ")
+        if skew[key] < 0.0:
             raise RankError(f"{source}: real_skew_us {key!r} is negative")
     ranks = obj.get("ranks")
     if not isinstance(ranks, list):
@@ -650,12 +618,8 @@ def validate_rank_section(obj: Any, source: str = "rank") -> dict[str, Any]:
     for i, row in enumerate(ranks):
         if not isinstance(row, dict):
             raise RankError(f"{source}: ranks[{i}] must be an object")
-        for key in ("rank", "tasks", "busy_us", "mean_task_us"):
-            val = row.get(key)
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise RankError(
-                    f"{source}: ranks[{i}] {key!r} must be a finite number"
-                )
+        require_finite(row, ("rank", "tasks", "busy_us", "mean_task_us"),
+                       source, RankError, f"ranks[{i}] ")
     budget = float(obj["rank_span_us"])
     total = float(obj["busy_us"]) + float(obj["idle_us"])
     if abs(total - budget) > max(1e-9 * max(abs(budget), 1.0), 1e-6):
@@ -670,19 +634,15 @@ def validate_rank_section(obj: Any, source: str = "rank") -> dict[str, Any]:
         buckets = placement.get("buckets")
         if not isinstance(buckets, dict):
             raise RankError(f"{source}: placement must carry 'buckets'")
-        idle = _finite(placement.get("idle_us"))
+        idle = finite(placement.get("idle_us"))
         bucket_total = 0.0
         for name in IDLE_BUCKETS:
             entry = buckets.get(name)
             if not isinstance(entry, dict):
                 raise RankError(f"{source}: placement bucket {name!r} missing")
-            us = entry.get("us")
-            if not isinstance(us, (int, float)) or not math.isfinite(us):
-                raise RankError(
-                    f"{source}: placement bucket {name!r} 'us' must be "
-                    "a finite number"
-                )
-            bucket_total += float(us)
+            require_finite(entry, ("us",), source, RankError,
+                           f"placement bucket {name!r} ")
+            bucket_total += float(entry["us"])
         if abs(bucket_total - idle) > max(1e-9 * max(abs(idle), 1.0), 1e-6):
             raise RankError(
                 f"{source}: placement buckets = {bucket_total} do not "
@@ -705,15 +665,6 @@ def rank_trace_events(
     re-based to the earliest task start (or ``t0_us``), so the lane
     group starts at zero like the span film.
     """
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "ranks (real clock)"},
-        }
-    ]
     if t0_us is None:
         starts = [
             task[2]
@@ -723,52 +674,34 @@ def rank_trace_events(
         ]
         t0_us = min(starts) if starts else 0.0
     marker_tid = max(ledger.n_ranks, 1)
+    events: list[dict[str, Any]] = []
     for rec in ledger.records:
         for rank, worker_pid, ts, wall, cpu in rec.task_events:
-            event: dict[str, Any] = {
-                "name": "rank.task",
-                "cat": "rank",
-                "ph": "X",
-                "ts": max(ts - t0_us, 0.0),
-                "dur": wall,
-                "pid": pid,
-                "tid": int(rank),
-                "args": {
+            events.append(lane_event(
+                "rank.task", "rank", max(ts - t0_us, 0.0), wall, pid,
+                int(rank),
+                {
                     "blockstep": rec.blockstep,
                     "rank": int(rank),
                     "backend": rec.backend,
                     "worker_pid": int(worker_pid),
                     "cpu_us": cpu,
                 },
-            }
-            if wall <= 0.0:
-                event.pop("dur")
-                event["ph"] = "i"
-                event["s"] = "t"
-            events.append(event)
-        marker: dict[str, Any] = {
-            "name": f"blockstep {rec.blockstep}",
-            "cat": "rank",
-            "ph": "X",
-            "ts": max(rec.t_start_us - t0_us, 0.0),
-            "dur": rec.span_wall_us,
-            "pid": pid,
-            "tid": marker_tid,
-            "args": {
+            ))
+        events.append(lane_event(
+            f"blockstep {rec.blockstep}", "rank",
+            max(rec.t_start_us - t0_us, 0.0), rec.span_wall_us, pid,
+            marker_tid,
+            {
                 "blockstep": rec.blockstep,
                 "backend": rec.backend,
                 "real_skew_us": rec.real_skew_us,
                 "straggler": rec.straggler,
                 "publish_bytes": rec.publish_bytes,
             },
-        }
-        if rec.span_wall_us <= 0.0:
-            marker.pop("dur")
-            marker["ph"] = "i"
-            marker["s"] = "t"
-        events.append(marker)
-    events.sort(key=lambda r: (0 if r["ph"] == "M" else 1, r.get("ts", 0.0)))
-    return events
+        ))
+    events.sort(key=lambda r: r["ts"])
+    return [process_name_event(pid, "ranks (real clock)"), *events]
 
 
 # -- convenience -------------------------------------------------------------
@@ -783,3 +716,39 @@ def ranks_from_reports(
     for rep in reports:
         ledger.observe(rep)
     return ledger
+
+
+# -- OpenMetrics projection ----------------------------------------------
+
+
+def rank_summary_metrics(
+    summary: dict[str, Any], labels: dict[str, str] | None = None
+) -> list[tuple[str, dict[str, str], float]]:
+    """Gauges from a ``repro.rank_sample/1`` section."""
+    labels = dict(labels or {})
+    out = [
+        (f"repro_rank_{key}", labels, finite(summary.get(key)))
+        for key in ("blocksteps", "tasks", "busy_us", "idle_us", "utilisation",
+                    "publish_bytes", "publish_bytes_per_step")
+    ]
+    out.append((
+        "repro_rank_real_skew_us_mean",
+        labels,
+        finite((summary.get("real_skew_us") or {}).get("mean")),
+    ))
+    placement = summary.get("placement")
+    if isinstance(placement, dict):
+        out.append((
+            "repro_rank_placement_gap_us_mean",
+            labels,
+            finite((placement.get("gap_us") or {}).get("mean")),
+        ))
+    for row in summary.get("ranks") or []:
+        if isinstance(row, dict):
+            rank_labels = {**labels, "rank": str(row.get("rank", "?"))}
+            out.append((
+                "repro_rank_busy_us_by_rank",
+                rank_labels,
+                finite(row.get("busy_us")),
+            ))
+    return out

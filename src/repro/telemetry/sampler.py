@@ -37,7 +37,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from ..io.tables import format_table
-from .phases import DEFAULT_SPAN_PHASES, PAPER_PHASE_NAMES, PHASES, T_OTHER
+from .phases import (
+    ATTRIBUTION_RULES,
+    DEFAULT_SPAN_PHASES,
+    PAPER_PHASE_NAMES,
+    PHASES,
+    T_OTHER,
+)
 from .tracer import Tracer
 
 #: Attribution provenance of one sample.
@@ -47,17 +53,6 @@ SOURCE_NONE = "unattributed"    # neither view could place the sample
 
 #: One extracted stack frame: (filename, function name), innermost first.
 FrameRef = tuple[str, str]
-
-
-def _default_frame_rules() -> Sequence[tuple[str, str | None, str]]:
-    """The bench path rules, imported lazily (bench imports telemetry,
-    so a module-level import here would be a cycle)."""
-    try:
-        from ..bench.profiling import ATTRIBUTION_RULES
-
-        return ATTRIBUTION_RULES
-    except ImportError:  # pragma: no cover - bench is part of this repo
-        return ()
 
 
 def frame_chain(frame, limit: int = 64) -> list[FrameRef]:
@@ -187,7 +182,7 @@ def attribute_sample(
             if resolved is not None:
                 return resolved, SOURCE_SPAN, name
         return T_OTHER, SOURCE_SPAN, open_spans[-1][0]
-    rules = _default_frame_rules() if frame_rules is None else frame_rules
+    rules = ATTRIBUTION_RULES if frame_rules is None else frame_rules
     for filename, funcname in frames:
         normalized = filename.replace("\\", "/")
         for fragment, wanted, phase in rules:

@@ -42,8 +42,9 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..io.documents import require_schema
 from .phases import DEFAULT_SPAN_PHASES, PHASES, T_OTHER
-from .timeline import TRACE_PIDS
+from .timeline import TRACE_PIDS, lane_event, process_name_event
 from .tracer import SpanEvent
 
 #: Bump on breaking signature-record/artifact layout changes.
@@ -528,13 +529,7 @@ class RegimeTracker:
 
 def validate_signature_summary(obj: Any, source: str = "signatures") -> dict:
     """Structural check of a :meth:`RegimeTracker.summary` document."""
-    if not isinstance(obj, dict):
-        raise SignatureError(f"{source}: summary must be an object")
-    if obj.get("schema") != SIGNATURE_SCHEMA:
-        raise SignatureError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {SIGNATURE_SCHEMA!r})"
-        )
+    require_schema(obj, SIGNATURE_SCHEMA, source, SignatureError, "summary")
     regimes = obj.get("regimes")
     if not isinstance(regimes, list):
         raise SignatureError(f"{source}: summary must carry a 'regimes' list")
@@ -562,33 +557,18 @@ def regime_trace_events(
     """The regime lane: one complete ("X") event per contiguous regime
     run, in the wall-clock time base of the span timeline, under its
     own trace process so Perfetto renders it as a separate lane."""
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "blockstep regimes"},
-        }
-    ]
-    for run in tracker.runs:
-        events.append(
+    return [process_name_event(pid, "blockstep regimes")] + [
+        lane_event(
+            f"regime {run.regime}", "regime", run.t_start_us,
+            run.t_end_us - run.t_start_us, pid, 1,
             {
-                "name": f"regime {run.regime}",
-                "cat": "regime",
-                "ph": "X",
-                "ts": run.t_start_us,
-                "dur": max(run.t_end_us - run.t_start_us, 0.0),
-                "pid": pid,
-                "tid": 1,
-                "args": {
-                    "regime": run.regime,
-                    "blocksteps": run.count,
-                    "start_blockstep": run.start_blockstep,
-                },
-            }
+                "regime": run.regime,
+                "blocksteps": run.count,
+                "start_blockstep": run.start_blockstep,
+            },
         )
-    return events
+        for run in tracker.runs
+    ]
 
 
 # -- convenience ------------------------------------------------------------
@@ -622,3 +602,4 @@ def schedule_signature(
 #: Feature subspace of :meth:`PhaseSignature.vector` that a dry-run
 #: schedule can reproduce (active fraction + block-size bucket).
 SCHEDULE_FEATURES = slice(0, 1 + N_BUCKETS)
+

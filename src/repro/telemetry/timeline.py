@@ -29,6 +29,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from ..io.documents import atomic_write
 from .phases import PhaseAggregator
 from .sampler import Sample
 from .tracer import SpanEvent
@@ -59,7 +60,8 @@ VIRTUAL_PID = TRACE_PIDS["virtual"]
 _DISPLAY_UNIT = "ms"
 
 
-def _metadata_event(pid: int, name: str) -> dict[str, Any]:
+def process_name_event(pid: int, name: str) -> dict[str, Any]:
+    """The metadata event that names trace process ``pid`` (a lane group)."""
     return {
         "name": "process_name",
         "ph": "M",
@@ -67,6 +69,19 @@ def _metadata_event(pid: int, name: str) -> dict[str, Any]:
         "tid": 0,
         "args": {"name": name},
     }
+
+
+def lane_event(
+    name: str, cat: str, ts: float, dur: float, pid: int, tid: int,
+    args: dict[str, Any],
+) -> dict[str, Any]:
+    """One event on an observatory lane: complete ("X"), or a
+    thread-scoped instant ("i") when it has no positive duration."""
+    if dur > 0.0:
+        return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+                "pid": pid, "tid": tid, "args": args}
+    return {"name": name, "cat": cat, "ph": "i", "ts": ts,
+            "pid": pid, "tid": tid, "args": args, "s": "t"}
 
 
 def timeline_events(
@@ -154,11 +169,11 @@ def build_timeline(
     ``displayTimeUnit`` and free-form ``otherData``) — the shape both
     ``chrome://tracing`` and Perfetto load directly.
     """
-    trace: list[dict[str, Any]] = [_metadata_event(WALL_PID, "wall clock")]
+    trace: list[dict[str, Any]] = [process_name_event(WALL_PID, "wall clock")]
     trace += timeline_events(events, clock="wall", span_phases=span_phases)
     virtual = timeline_events(events, clock="virtual", span_phases=span_phases)
     if virtual:
-        trace.append(_metadata_event(VIRTUAL_PID, "virtual clock (simulated machine)"))
+        trace.append(process_name_event(VIRTUAL_PID, "virtual clock (simulated machine)"))
         trace += virtual
     if samples is not None:
         trace += sample_events(samples)
@@ -182,9 +197,7 @@ def write_timeline(
     """Build and write one trace document; returns the path."""
     doc = build_timeline(events, samples=samples, metadata=metadata,
                          span_phases=span_phases, extra_events=extra_events)
-    path = Path(path)
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    return path
+    return atomic_write(path, json.dumps(doc, sort_keys=True) + "\n")
 
 
 def validate_timeline(doc: Any, source: str = "timeline") -> dict[str, Any]:
