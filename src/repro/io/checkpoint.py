@@ -23,6 +23,8 @@ the very crash it guards against never shadows its intact predecessor.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -41,6 +43,12 @@ CHECKPOINT_SCHEMA = "repro.checkpoint/1"
 _SYSTEM_ARRAYS = (
     "mass", "pos", "vel", "acc", "jerk", "snap", "crackle", "pot", "t", "dt",
 )
+
+
+#: What a cut or flipped byte raises inside ``np.load``/``zipfile``/
+#: ``zlib`` (a flipped flag bit can even claim encryption).
+_UNREADABLE = (OSError, EOFError, ValueError, KeyError, RuntimeError,
+               zipfile.BadZipFile, zlib.error)
 
 
 class CheckpointError(ValueError):
@@ -125,17 +133,20 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
-    """Load and validate one checkpoint."""
+    """Load and validate one checkpoint; a missing, truncated or
+    corrupt file raises :class:`CheckpointError` like a bad schema."""
     path = Path(path)
     try:
-        data = np.load(path)
-    except (OSError, ValueError) as exc:
+        return _read_checkpoint(path)
+    except CheckpointError:
+        raise
+    except _UNREADABLE as exc:
         raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
-    with data:
-        try:
-            meta = decode_json_safe(json.loads(bytes(data["header"]).decode()))
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+
+
+def _read_checkpoint(path: Path) -> Checkpoint:
+    with np.load(path) as data:
+        meta = decode_json_safe(json.loads(bytes(data["header"]).decode()))
         require_schema(meta, CHECKPOINT_SCHEMA, str(path), CheckpointError,
                        "header")
         missing = [

@@ -40,7 +40,7 @@ from .ledger import (
     merge_comm_summaries,
     validate_comm_ledger,
 )
-from .simcomm import MessageStats, SimNetwork
+from .simcomm import SimNetwork
 from .topology import Grid2D
 from .copy_algorithm import CopyAlgorithm
 from .ring_algorithm import RingAlgorithm
@@ -58,7 +58,6 @@ __all__ = [
     "RankTask",
     "resolve_backend",
     "SimNetwork",
-    "MessageStats",
     "COMM_LEDGER_SCHEMA",
     "CommLedger",
     "LinkStats",

@@ -2,8 +2,7 @@
 
 The paper's decisive tuning move — swapping the NS 83820 NIC for the
 Intel 82540EM — came from *measuring* per-message and per-barrier
-costs, not from the aggregate counters the earlier code kept.  The
-three global numbers of :class:`repro.parallel.simcomm.MessageStats`
+costs, not from aggregate counters.  Three global numbers
 (messages/bytes/barriers) cannot answer the questions that analysis
 asks: which link carries the traffic, how large the messages are, how
 long each flight takes, who arrives last at each barrier and how much
@@ -202,6 +201,9 @@ class CommLedger:
         self._links: dict[tuple[int, int, str], LinkStats] = {}
         self.barrier_records: list[BarrierRecord] = []
         self.exchange_records: list[ExchangeRecord] = []
+        #: Running totals over every link (the network's ``stats``).
+        self.messages = 0
+        self.bytes = 0
 
     # -- recording -------------------------------------------------------------
 
@@ -215,6 +217,8 @@ class CommLedger:
         if link is None:
             link = self._links[key] = LinkStats(src=src, dst=dst, kind=kind)
         link.record(nbytes, flight_us)
+        self.messages += 1
+        self.bytes += nbytes
 
     def record_barrier(
         self,
@@ -253,6 +257,8 @@ class CommLedger:
         self._links.clear()
         self.barrier_records.clear()
         self.exchange_records.clear()
+        self.messages = 0
+        self.bytes = 0
 
     # -- views -----------------------------------------------------------------
 
@@ -261,12 +267,8 @@ class CommLedger:
         return [self._links[k] for k in sorted(self._links)]
 
     @property
-    def messages(self) -> int:
-        return sum(l.messages for l in self._links.values())
-
-    @property
-    def bytes(self) -> int:
-        return sum(l.bytes for l in self._links.values())
+    def barriers(self) -> int:
+        return len(self.barrier_records)
 
     @property
     def barrier_sync_us(self) -> float:
@@ -315,7 +317,7 @@ class CommLedger:
             "n_ranks": self.n_ranks,
             "messages": self.messages,
             "bytes": self.bytes,
-            "barriers": len(self.barrier_records),
+            "barriers": self.barriers,
             "barrier_rounds": self.barrier_rounds,
             "barrier_sync_us": self.barrier_sync_us,
             "barrier_wait_us": self.barrier_wait_us,

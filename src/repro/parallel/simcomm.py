@@ -23,33 +23,12 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any
 
 from ..config import NICConfig, NIC_NS83820
 from ..telemetry import T_BARRIER, Tracer, get_tracer
 from .ledger import CommLedger
 from .virtualtime import VirtualClock
-
-
-@dataclass
-class MessageStats:
-    """Traffic counters for one network."""
-
-    messages: int = 0
-    bytes: int = 0
-    barriers: int = 0
-
-    def record(self, nbytes: int) -> None:
-        self.messages += 1
-        self.bytes += nbytes
-
-    def reset(self) -> None:
-        """Zero all counters (fresh benchmark trial on a reused
-        network — multi-trial comm counts must not accumulate)."""
-        self.messages = 0
-        self.bytes = 0
-        self.barriers = 0
 
 
 #: Bytes per particle for the paper's exchanges: position, velocity,
@@ -90,16 +69,19 @@ class SimNetwork:
         self.clock = VirtualClock(n_ranks)
         self.nic = nic
         self.overhead_us = float(per_message_overhead_us)
-        self.stats = MessageStats()
         self.ledger = CommLedger(n_ranks, nic=nic.name)
         self._tracer = tracer
         self._mailbox: dict[tuple[int, int, int], deque] = {}
 
+    @property
+    def stats(self) -> CommLedger:
+        """Traffic totals (``messages``/``bytes``/``barriers``)."""
+        return self.ledger
+
     def reset_stats(self) -> None:
-        """Zero the traffic counters and the communication ledger
-        without touching the clocks or in-flight messages (used by the
-        bench runner so per-trial counters never carry over)."""
-        self.stats.reset()
+        """Zero the communication ledger without touching the clocks
+        or in-flight messages (used by the bench runner so per-trial
+        counters never carry over)."""
         self.ledger.reset()
 
     @property
@@ -134,7 +116,6 @@ class SimNetwork:
         flight_us = self.message_time_us(nbytes)
         t_arrive = self.clock.now(src) + flight_us
         self._mailbox.setdefault((src, dst, tag), deque()).append((t_arrive, payload))
-        self.stats.record(nbytes)
         self.ledger.record_message(src, dst, nbytes, flight_us,
                                    collective=tag < 0)
         tracer = self.tracer
@@ -189,7 +170,6 @@ class SimNetwork:
                 arrivals, release, rounds, round_skews)
             span.set(rounds=rounds, straggler=record.straggler,
                      skew_us=record.skew_us, sync_us=record.sync_us)
-        self.stats.barriers += 1
         if tracer.enabled:
             tracer.count("net.barriers")
             tracer.count("net.barrier_rounds", rounds)

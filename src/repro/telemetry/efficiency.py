@@ -35,9 +35,9 @@ shortfall to named loss buckets:
     zeros, never NaN (mirroring the phase-signature guards).
 
 Like :class:`~repro.telemetry.signatures.SignatureRecorder`, the
-ledger is a streaming tracer sink: exact subtree self-times via child
-subtraction, one record cut per closing ``blockstep`` span, O(tree
-depth) memory, safe always-on for week-long runs.  Durations prefer
+ledger is a :class:`~repro.telemetry.phases.SpanFold` tracer sink:
+exact subtree self-times, one record cut per closing ``blockstep``
+span, O(tree depth) memory, safe always-on for week-long runs.  Durations prefer
 the virtual clock (what the paper's figures plot) and fall back to the
 wall clock when no simulated network drives one.
 """
@@ -49,7 +49,7 @@ from typing import Any, Callable, Iterable
 
 from ..constants import FLOPS_PER_INTERACTION
 from ..io.documents import require_finite, require_schema
-from .phases import DEFAULT_SPAN_PHASES, T_BARRIER, T_COMM, T_OTHER, T_PIPE
+from .phases import T_BARRIER, T_COMM, T_PIPE, SpanFold
 from .signatures import ROOT_SPAN
 from .timeline import TRACE_PIDS, lane_event, process_name_event
 from .tracer import SpanEvent
@@ -74,6 +74,9 @@ EFFICIENCY_PID = TRACE_PIDS["efficiency"]
 
 #: Span name whose subtree self-time is the j-memory load bucket.
 JMEM_SPAN = "grape.jmem_load"
+
+#: Loss category of every other span, by phase (default ``host``).
+_CATEGORIES = {T_PIPE: "pipe", T_COMM: "comm", T_BARRIER: "barrier"}
 
 
 class EfficiencyError(ValueError):
@@ -201,9 +204,12 @@ class BlockstepEfficiency:
 # -- the ledger --------------------------------------------------------------
 
 
-class FlopsLedger:
+class FlopsLedger(SpanFold):
     """Tracer sink cutting one :class:`BlockstepEfficiency` per
     blockstep and keeping running totals for the run-level waterfall.
+
+    Its :class:`~repro.telemetry.phases.SpanFold` key is the loss
+    category, and it folds each subtree's exponent retries too.
 
     Parameters
     ----------
@@ -220,6 +226,8 @@ class FlopsLedger:
         As for :class:`~repro.telemetry.signatures.SignatureRecorder`.
     """
 
+    count_attr = "exponent_retries"
+
     def __init__(
         self,
         hardware: Any = None,
@@ -228,20 +236,11 @@ class FlopsLedger:
         root_span: str = ROOT_SPAN,
         span_phases: dict[str, str] | None = None,
     ) -> None:
+        super().__init__(span_phases)
         self.hardware = HardwareProfile.detect(hardware)
-        self._span_phases = dict(DEFAULT_SPAN_PHASES)
-        if span_phases:
-            self._span_phases.update(span_phases)
         self._callback = callback
         self._keep = bool(keep)
         self._root = root_span
-        # streaming child subtraction, in both clock domains at once:
-        # span_id -> [wall_us, virt_us] of already-folded children
-        self._child: dict[int, list[float]] = {}
-        # span_id -> {category: [wall_us, virt_us]} subtree self-times
-        self._subtree: dict[int, dict[str, list[float]]] = {}
-        # span_id -> subtree exponent-retry count
-        self._retries: dict[int, int] = {}
         self.records: list[BlockstepEfficiency] = []
         self.count = 0
         self.latest: BlockstepEfficiency | None = None
@@ -258,60 +257,24 @@ class FlopsLedger:
 
     # -- streaming capture ---------------------------------------------------
 
-    def _category(self, event: SpanEvent) -> str:
+    def _key(self, event: SpanEvent, phase: str) -> str:
         if event.name == JMEM_SPAN:
             return "jmem"
-        phase = event.phase or self._span_phases.get(event.name, T_OTHER)
-        if phase == T_PIPE:
-            return "pipe"
-        if phase == T_COMM:
-            return "comm"
-        if phase == T_BARRIER:
-            return "barrier"
-        return "host"
+        return _CATEGORIES.get(phase, "host")
 
-    def emit(self, event: SpanEvent) -> None:
-        wall = float(event.dur_us)
-        virt = event.v_dur_us
-        child = self._child.pop(event.span_id, None) or [0.0, 0.0]
-        self_wall = max(wall - child[0], 0.0)
-        self_virt = max((virt or 0.0) - child[1], 0.0)
-        subtree = self._subtree.pop(event.span_id, None) or {}
-        acc = subtree.setdefault(self._category(event), [0.0, 0.0])
-        acc[0] += self_wall
-        acc[1] += self_virt
-        retries = self._retries.pop(event.span_id, 0) + int(
-            event.attrs.get("exponent_retries", 0) or 0
-        )
-
-        if event.name == self._root:
-            self._cut(event, subtree, retries)
-        if event.parent_id is not None:
-            pc = self._child.setdefault(event.parent_id, [0.0, 0.0])
-            pc[0] += wall
-            pc[1] += virt or 0.0
-            if event.name != self._root:
-                parent = self._subtree.setdefault(event.parent_id, {})
-                for cat, (w, v) in subtree.items():
-                    pacc = parent.setdefault(cat, [0.0, 0.0])
-                    pacc[0] += w
-                    pacc[1] += v
-                if retries:
-                    self._retries[event.parent_id] = (
-                        self._retries.get(event.parent_id, 0) + retries
-                    )
-        elif event.name != self._root:
-            # top-level non-blockstep span: its subtree is run overhead
-            # outside any blockstep (startup force evaluation, the
-            # driver's coherence exchange, scaffolding) — charged to
-            # the run-level waterfall at summary time
-            dom = 1 if virt is not None else 0
-            for cat, times in subtree.items():
-                self._outside_us[cat] = self._outside_us.get(cat, 0.0) + times[dom]
+    def _outside(self, event: SpanEvent, subtree: dict[str, list[float]]) -> None:
+        # run overhead outside any blockstep (startup force evaluation,
+        # the driver's coherence exchange, scaffolding) — charged to the
+        # run-level waterfall at summary time
+        dom = 1 if event.v_dur_us is not None else 0
+        for cat, times in subtree.items():
+            self._outside_us[cat] = self._outside_us.get(cat, 0.0) + times[dom]
 
     def _cut(
         self, event: SpanEvent, subtree: dict[str, list[float]], retries: int
-    ) -> None:
+    ) -> bool:
+        if event.name != self._root:
+            return False
         attrs = event.attrs
         block_size = int(attrs.get("n_block", 0) or 0)
         n = int(attrs.get("n", 0) or 0)
@@ -386,6 +349,7 @@ class FlopsLedger:
             self.records.append(rec)
         if self._callback is not None:
             self._callback(rec)
+        return True
 
     # -- views ---------------------------------------------------------------
 

@@ -22,7 +22,8 @@ Attribution uses **self time**: a span's duration minus the durations
 of its direct children, so nested instrumentation ("blockstep"
 containing "predict"/"force"/"correct") never double-counts.  A span
 with no explicit phase inherits its nearest ancestor's phase, falling
-back to the span-name map and then to ``other``.
+back to the span-name map and then to ``other``.  :class:`SpanFold`
+computes the same self times live, under the always-on sinks.
 """
 
 from __future__ import annotations
@@ -247,3 +248,84 @@ class PhaseAggregator:
             spans=ordered,
             n_events=len(events),
         )
+
+
+class SpanFold:
+    """Streaming self-time fold over a children-before-parents stream.
+
+    The tracer emits a span as it closes, after all of its children.
+    So each span's self time is its duration minus its already-folded
+    children's, in the wall and the virtual clock.  Its phase resolves
+    once — own tag, then name map, then ``other``; no ancestor
+    inheritance, which needs the retained tree of
+    :class:`PhaseAggregator` — and a subclass maps it to a key.
+
+    A span's subtree, ``{key: [wall_us, virtual_us]}``, is its keyed
+    self time plus its children's subtrees.  :meth:`_cut` consumes it
+    (a blockstep); else it folds into the parent, or, at top level,
+    goes to :meth:`_outside` (time outside any cut).  Memory is
+    O(open spans), so subclasses are safe always-on.
+    """
+
+    #: Integer span attribute summed over each subtree alongside its
+    #: times and handed to :meth:`_cut`; None counts nothing.
+    count_attr: str | None = None
+
+    def __init__(self, span_phases: dict[str, str] | None = None) -> None:
+        self._span_phases = dict(DEFAULT_SPAN_PHASES)
+        if span_phases:
+            self._span_phases.update(span_phases)
+        # span_id -> [wall_us, virtual_us] of its closed children
+        self._child: dict[int, list[float]] = {}
+        # span_id -> folded subtree of its closed children
+        self._subtree: dict[int, dict[str, list[float]]] = {}
+        # span_id -> folded count_attr total of its closed children
+        self._counts: dict[int, int] = {}
+
+    def emit(self, event: SpanEvent) -> None:
+        span_id = event.span_id
+        wall = event.dur_us
+        virt = event.v_dur_us or 0.0
+        done = self._child.pop(span_id, (0.0, 0.0))
+        subtree = self._subtree.pop(span_id, None) or {}
+        phase = event.phase or self._span_phases.get(event.name, T_OTHER)
+        acc = subtree.setdefault(self._key(event, phase), [0.0, 0.0])
+        acc[0] += max(wall - done[0], 0.0)
+        acc[1] += max(virt - done[1], 0.0)
+        count = 0
+        if self.count_attr is not None:
+            count = self._counts.pop(span_id, 0) + int(
+                event.attrs.get(self.count_attr, 0) or 0
+            )
+
+        cut = self._cut(event, subtree, count)
+        parent_id = event.parent_id
+        if parent_id is None:
+            if not cut:
+                self._outside(event, subtree)
+            return
+        children = self._child.setdefault(parent_id, [0.0, 0.0])
+        children[0] += wall
+        children[1] += virt
+        if cut:
+            return
+        parent = self._subtree.setdefault(parent_id, {})
+        for key, (w, v) in subtree.items():
+            pacc = parent.setdefault(key, [0.0, 0.0])
+            pacc[0] += w
+            pacc[1] += v
+        if count:
+            self._counts[parent_id] = self._counts.get(parent_id, 0) + count
+
+    # -- the parts a sink supplies -------------------------------------------
+
+    def _key(self, event: SpanEvent, phase: str) -> str:
+        return phase
+
+    def _cut(self, event: SpanEvent, subtree: dict[str, list[float]],
+             count: int) -> bool:
+        """Consume a closing span's subtree (True), or let it fold on."""
+        return False
+
+    def _outside(self, event: SpanEvent, subtree: dict[str, list[float]]) -> None:
+        """Take a top-level span's subtree that no cut consumed."""

@@ -18,7 +18,8 @@ streams:
   emulator's j-memory load/elision counters;
 * :class:`SignatureRecorder` — a tracer sink that cuts one signature
   per closing ``blockstep`` span in O(1) memory (exact subtree
-  self-times via streaming child subtraction, no retained event list);
+  self-times from the streaming :class:`~repro.telemetry.phases.SpanFold`,
+  no retained event list);
 * :class:`StreamingKMeans` / :class:`RegimeTracker` — deterministic
   online clustering of the signature stream into **regimes** with
   hold-window regime-change detection;
@@ -43,7 +44,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from ..io.documents import require_schema
-from .phases import DEFAULT_SPAN_PHASES, PHASES, T_OTHER
+from .phases import PHASES, SpanFold
 from .timeline import TRACE_PIDS, lane_event, process_name_event
 from .tracer import SpanEvent
 
@@ -199,20 +200,14 @@ def normalise_shares(totals_us: dict[str, float]) -> dict[str, float]:
 # -- streaming capture ------------------------------------------------------
 
 
-class SignatureRecorder:
+class SignatureRecorder(SpanFold):
     """Tracer sink cutting one :class:`PhaseSignature` per blockstep.
 
-    Spans close children-before-parents, so the recorder can maintain
-    each open span's *subtree* phase totals incrementally: when a span
-    closes, its self-time (duration minus already-folded children) is
-    added to its own subtree totals, and the whole subtree folds into
-    its parent.  When a span named ``root_span`` closes, its subtree
-    totals *are* the blockstep's exact phase attribution — identical to
-    what :class:`repro.telemetry.PhaseAggregator` computes post hoc
-    from a retained event list — and the recorder cuts a signature.
-    Memory is O(tree depth), so it is safe on week-long runs; spans
-    outside any blockstep (startup force evaluation, benchmark
-    scaffolding) are discarded, never folded into a signature.
+    A :class:`~repro.telemetry.phases.SpanFold` keyed by phase: when a
+    span named ``root_span`` closes, its subtree *is* the blockstep's
+    exact phase attribution (what :class:`repro.telemetry.PhaseAggregator`
+    computes post hoc) and the recorder cuts a signature.  Spans outside
+    any blockstep (startup force, scaffolding) are discarded.
 
     Parameters
     ----------
@@ -235,53 +230,27 @@ class SignatureRecorder:
         root_span: str = ROOT_SPAN,
         span_phases: dict[str, str] | None = None,
     ) -> None:
-        self._span_phases = dict(DEFAULT_SPAN_PHASES)
-        if span_phases:
-            self._span_phases.update(span_phases)
+        super().__init__(span_phases)
         self._callback = callback
         self._keep = bool(keep)
         self._root = root_span
-        self._child_us: dict[int, float] = {}
-        self._subtree: dict[int, dict[str, float]] = {}
         self.signatures: list[PhaseSignature] = []
         self.count = 0
         self.latest: PhaseSignature | None = None
 
-    def emit(self, event: SpanEvent) -> None:
-        phase = event.phase or self._span_phases.get(event.name, T_OTHER)
-        self_us = max(event.dur_us - self._child_us.pop(event.span_id, 0.0), 0.0)
-        subtree = self._subtree.pop(event.span_id, None)
-        if subtree is None:
-            subtree = {}
-        subtree[phase] = subtree.get(phase, 0.0) + self_us
-
-        if event.name == self._root:
-            self._cut(event, subtree)
-            # the blockstep's time still folds into any enclosing span
-            # for other sinks' benefit, but its subtree dict is done
-        if event.parent_id is not None:
-            self._child_us[event.parent_id] = (
-                self._child_us.get(event.parent_id, 0.0) + event.dur_us
-            )
-            if event.name != self._root:
-                parent = self._subtree.setdefault(event.parent_id, {})
-                for p, us in subtree.items():
-                    parent[p] = parent.get(p, 0.0) + us
-        # top-level non-blockstep spans (startup force, scaffolding)
-        # simply drop their subtree totals here
-
-    def _cut(self, event: SpanEvent, subtree: dict[str, float]) -> None:
+    def _cut(self, event: SpanEvent, subtree: dict[str, list[float]],
+             count: int) -> bool:
+        if event.name != self._root:
+            return False
         attrs = event.attrs
-        block_size = int(attrs.get("n_block", 0) or 0)
-        n = int(attrs.get("n", 0) or 0)
         t = attrs.get("t")
         sig = PhaseSignature(
             blockstep=self.count,
             t=None if t is None else float(t),
-            n=n,
-            block_size=block_size,
+            n=int(attrs.get("n", 0) or 0),
+            block_size=int(attrs.get("n_block", 0) or 0),
             wall_us=float(event.dur_us),
-            shares=normalise_shares(subtree),
+            shares=normalise_shares({p: us[0] for p, us in subtree.items()}),
             jmem_loads=int(attrs.get("jmem_loads", 0) or 0),
             jmem_elided=int(attrs.get("jmem_elided", 0) or 0),
             t_start_us=float(event.t_start_us),
@@ -292,6 +261,7 @@ class SignatureRecorder:
             self.signatures.append(sig)
         if self._callback is not None:
             self._callback(sig)
+        return True
 
 
 # -- streaming k-means ------------------------------------------------------

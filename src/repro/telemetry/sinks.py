@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
 
 from ..io.runlog import RunLogger, read_runlog_records
+from .phases import SpanFold
 from .tracer import SpanEvent
 
 
@@ -92,20 +93,17 @@ class SummarySink:
         entry["total_us"] += event.dur_us
 
 
-class StreamingPhaseSink:
+class StreamingPhaseSink(SpanFold):
     """O(1)-memory phase attribution for arbitrarily long runs.
 
     :class:`repro.telemetry.PhaseAggregator` retains every event and
     aggregates post hoc — right for bounded benchmark trials, wrong for
-    a week-long service run.  This sink computes self-times on the fly:
-    spans close children-before-parents, so when a parent arrives all
-    its children's durations have already been accumulated against its
-    span id and can be subtracted immediately.  Phase resolution uses
-    the event's own phase tag or the default span-name map (ancestor
-    inheritance needs the retained tree, which is exactly what this
-    sink exists to avoid; the instrumented integrators tag or name
-    every hot span, so the difference lands in ``T_other`` only for
-    exotic custom spans).
+    a week-long service run.  This sink is a
+    :class:`~repro.telemetry.phases.SpanFold` that cuts at every span:
+    each subtree is then just that span's self time, added to the
+    running phase totals as it closes.  Spans the fold cannot tag (no
+    phase, no name-map entry) land in ``T_other``; the instrumented
+    integrators tag or name every hot span.
 
     ``snapshot()`` is cheap and safe to call at any record cadence —
     the service supervisor turns it into periodic ``phases`` records on
@@ -113,25 +111,16 @@ class StreamingPhaseSink:
     """
 
     def __init__(self, span_phases: dict[str, str] | None = None) -> None:
-        from .phases import DEFAULT_SPAN_PHASES, T_OTHER
-
-        self._span_phases = dict(DEFAULT_SPAN_PHASES)
-        if span_phases:
-            self._span_phases.update(span_phases)
-        self._other = T_OTHER
-        self._child_us: dict[int, float] = {}
+        super().__init__(span_phases)
         self.totals_us: dict[str, float] = {}
         self.n_events = 0
 
-    def emit(self, event: SpanEvent) -> None:
-        phase = event.phase or self._span_phases.get(event.name, self._other)
-        self_us = max(event.dur_us - self._child_us.pop(event.span_id, 0.0), 0.0)
-        self.totals_us[phase] = self.totals_us.get(phase, 0.0) + self_us
-        if event.parent_id is not None:
-            self._child_us[event.parent_id] = (
-                self._child_us.get(event.parent_id, 0.0) + event.dur_us
-            )
+    def _cut(self, event: SpanEvent, subtree: dict[str, list[float]],
+             count: int) -> bool:
+        for phase, (wall_us, _) in subtree.items():
+            self.totals_us[phase] = self.totals_us.get(phase, 0.0) + wall_us
         self.n_events += 1
+        return True
 
     def snapshot(self) -> dict[str, Any]:
         """Cumulative phase totals so far (microseconds, by phase)."""

@@ -147,3 +147,50 @@ class TestValidation:
         ]
         assert leftovers == []
         read_checkpoint(ckpt_path)  # parses
+
+
+class TestDamagedArchive:
+    """A cut or bit-flipped checkpoint file raises ``CheckpointError`` —
+    never a raw ``zipfile``/``zlib``/``EOFError`` — and never loads
+    altered state."""
+
+    @pytest.fixture
+    def written(self, ckpt_path):
+        write_checkpoint(ckpt_path, make_integrator(steps=3))
+        return ckpt_path.read_bytes(), read_checkpoint(ckpt_path)
+
+    def test_truncated_at_every_offset(self, written, tmp_path):
+        raw, _ = written
+        bad = tmp_path / "cut.npz"
+        for cut in range(len(raw)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError):
+                read_checkpoint(bad)
+
+    def test_bit_flip_anywhere_fails_loudly_or_changes_nothing(
+        self, written, tmp_path
+    ):
+        # bytes the decoded state does not depend on may flip
+        # harmlessly (zip timestamps and attribute bits, deflate padding
+        # bits); every other flip must be refused
+        raw, ref = written
+        bad = tmp_path / "flip.npz"
+        refused = 0
+        offsets = range(0, len(raw), 3)
+        for off in offsets:
+            damaged = bytearray(raw)
+            damaged[off] ^= 1 << (off * 5 % 8)
+            bad.write_bytes(bytes(damaged))
+            try:
+                ckpt = read_checkpoint(bad)
+            except CheckpointError:
+                refused += 1
+                continue
+            assert ckpt.meta == ref.meta
+            np.testing.assert_array_equal(
+                ckpt.integrator_state["scheduler_t_next"],
+                ref.integrator_state["scheduler_t_next"])
+            for name in ARRAYS:
+                np.testing.assert_array_equal(
+                    getattr(ckpt.system, name), getattr(ref.system, name))
+        assert refused > len(offsets) // 2
