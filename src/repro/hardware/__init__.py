@@ -30,7 +30,7 @@ chip, 4 chips + an FPGA summation unit per module, 8 modules per board,
 
 from .fixedpoint import FixedPointFormat, carry_save_sum, combine_lanes_exact, exact_int_sum
 from .floatformat import FloatFormat
-from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow
+from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow, NonFiniteForceError
 from .batched import CarrySavePartial, GatheredJSet, batched_partial_lanes, gather_chips
 from .chip import GrapeChip
 from .memory import JParticleMemory
@@ -47,6 +47,7 @@ __all__ = [
     "FloatFormat",
     "BlockFloatAccumulator",
     "BlockFloatOverflow",
+    "NonFiniteForceError",
     "exact_int_sum",
     "carry_save_sum",
     "combine_lanes_exact",

@@ -19,7 +19,10 @@ one contiguous j-array, evaluate the full (n_i, n_j) interaction tile
 in one numpy pass, and reduce it with a two-lane int64 carry-save sum
 (:func:`repro.hardware.fixedpoint.carry_save_sum`) — and the result is
 bit-identical to the per-chip schedule, enforced by the emulation-mode
-property tests.
+property tests.  The same argument frees the order of the pairs, so
+:func:`batched_forces` runs a C port of the tile
+(:mod:`repro.hardware.compiled`) when the local compiler could build
+it; :func:`batched_partial_lanes` stays the numpy reference.
 
 Cycle accounting is preserved: each chip is charged the cycles the
 real schedule would have cost it (``ceil(n_i/48) * vmp_ways * n_j``
@@ -32,14 +35,16 @@ loop expects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..core.predictor import predict_with_snap
-from .blockfloat import BlockFloatAccumulator
+from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow, NonFiniteForceError
 from .chip import BlockExponents, GrapeChip
+from .compiled import load_tile
 from .fixedpoint import carry_save_sum
-from .pipeline import PipelineFormats, pairwise_contributions
+from .pipeline import PipelineFormats, nonfinite_rows, pairwise_contributions
 
 #: Target number of (i, j) pairs per evaluation tile.  The i-block is
 #: chunked so that the float64 temporaries of one tile stay cache- and
@@ -153,18 +158,25 @@ def batched_partial_lanes(
     formats: PipelineFormats,
     i_index: np.ndarray | None = None,
 ) -> CarrySavePartial:
-    """Evaluate the full interaction tile and reduce it exactly.
+    """Evaluate the full interaction tile and reduce it exactly (numpy).
 
-    One call replaces the whole board/module/chip traversal: pairwise
-    contributions and block-float quantisation run over (chunks of) the
-    complete (n_i, n_j) tile, and the j-reduction is the int64
-    carry-save sum.  Raises
+    The reference implementation of the tile: one call replaces the
+    whole board/module/chip traversal — pairwise contributions and
+    block-float quantisation run over (chunks of) the complete
+    (n_i, n_j) tile, and the j-reduction is the int64 carry-save sum.
+    :func:`batched_forces` runs the compiled port of this function when
+    it is available, and the loader checks the port against it.
+
+    Raises :class:`~repro.hardware.blockfloat.NonFiniteForceError`
+    naming every i-row with a NaN or infinite contribution, else
     :class:`~repro.hardware.blockfloat.BlockFloatOverflow` on
     per-contribution saturation exactly where the faithful path would
     (the caller charges chip cycles on return, so an attempt aborted by
     saturation charges nothing — the faithful schedule would have
     charged whatever passes ran before the saturating one, an
-    attempt-local difference that never affects results).
+    attempt-local difference that never affects results).  A non-finite
+    contribution anywhere wins over saturation, so a failing tile is
+    scanned to the end.
     """
     n_i = xi_q.shape[0]
     n_j = xj_q.shape[0]
@@ -178,6 +190,8 @@ def batched_partial_lanes(
         pot_lo=np.empty(n_i, dtype=np.int64),
     )
 
+    bad: list[np.ndarray] = []
+    saturated = False
     chunk = max(1, TILE_TARGET_PAIRS // max(n_j, 1))
     for lo in range(0, n_i, chunk):
         hi = min(lo + chunk, n_i)
@@ -190,16 +204,79 @@ def batched_partial_lanes(
         acc_c, jerk_c, pot_c = pairwise_contributions(
             xi_q[block], vi[block], xj_q, vj, mj, eps2, formats, self_mask=self_mask
         )
+        rows = nonfinite_rows(acc_c, jerk_c, pot_c)
+        if rows.size:
+            bad.append(rows + lo)
+        if bad or saturated:
+            continue  # the attempt fails: only scan for non-finite rows
         # Per-pair quantisation under the (n_i,)-shaped block exponents
         # (broadcast over the j and component axes) — elementwise
         # identical to the faithful per-chip quantisation, including
         # the saturation check.
-        acc_q = BlockFloatAccumulator(exponents.acc[block, None, None]).quantize(acc_c)
-        jerk_q = BlockFloatAccumulator(exponents.jerk[block, None, None]).quantize(jerk_c)
-        pot_q = BlockFloatAccumulator(exponents.pot[block, None]).quantize(pot_c)
+        try:
+            acc_q = BlockFloatAccumulator(exponents.acc[block, None, None]).quantize(acc_c)
+            jerk_q = BlockFloatAccumulator(exponents.jerk[block, None, None]).quantize(jerk_c)
+            pot_q = BlockFloatAccumulator(exponents.pot[block, None]).quantize(pot_c)
+        except BlockFloatOverflow:
+            saturated = True
+            continue
 
         out.acc_hi[block], out.acc_lo[block] = carry_save_sum(acc_q, axis=1)
         out.jerk_hi[block], out.jerk_lo[block] = carry_save_sum(jerk_q, axis=1)
         out.pot_hi[block], out.pot_lo[block] = carry_save_sum(pot_q, axis=1)
 
+    if bad:
+        raise NonFiniteForceError(np.concatenate(bad))
+    if saturated:
+        raise BlockFloatOverflow(BlockFloatOverflow.SATURATED)
     return out
+
+
+def batched_forces(
+    xi_q: np.ndarray,
+    vi: np.ndarray,
+    xj_q: np.ndarray,
+    vj: np.ndarray,
+    mj: np.ndarray,
+    host_index_j: np.ndarray,
+    exponents: BlockExponents,
+    eps2: float,
+    formats: PipelineFormats,
+    i_index: np.ndarray | None = None,
+    streamed: Callable[[], None] = lambda: None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One attempt of the batched datapath: acc, jerk and pot in float.
+
+    Evaluates the tile — compiled (:mod:`repro.hardware.compiled`) when
+    it loaded, else :func:`batched_partial_lanes`; both give the same
+    bits — then calls ``streamed()`` (the pipelines have streamed the
+    memories: the caller charges cycles), then range-checks the totals
+    and converts them.  Raises like :func:`batched_partial_lanes` before
+    ``streamed()``, and :class:`BlockFloatOverflow` for a total that
+    overflows after it.
+    """
+    tile = load_tile().tile
+    if tile is None:
+        lanes = batched_partial_lanes(
+            xi_q, vi, xj_q, vj, mj, host_index_j, exponents, eps2, formats,
+            i_index=i_index,
+        )
+        streamed()
+        acc = BlockFloatAccumulator(exponents.acc[:, None]).to_float_lanes(
+            lanes.acc_hi, lanes.acc_lo
+        )
+        jerk = BlockFloatAccumulator(exponents.jerk[:, None]).to_float_lanes(
+            lanes.jerk_hi, lanes.jerk_lo
+        )
+        pot = BlockFloatAccumulator(exponents.pot).to_float_lanes(
+            lanes.pot_hi, lanes.pot_lo
+        )
+        return acc, jerk, pot
+    exps = np.stack((exponents.acc, exponents.jerk, exponents.pot), axis=1)
+    _, forces, overflow = tile(
+        xi_q, vi, xj_q, vj, mj, host_index_j, exps, eps2, formats, i_index=i_index
+    )
+    streamed()
+    if overflow:
+        raise BlockFloatOverflow(BlockFloatOverflow.TOTAL)
+    return forces

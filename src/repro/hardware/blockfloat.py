@@ -48,6 +48,33 @@ class BlockFloatOverflow(ArithmeticError):
     """A contribution or total exceeded the declared block exponent's
     range; the host must retry with a larger exponent."""
 
+    #: Messages of the two kinds: one contribution saturating the
+    #: register, and an accumulated total overflowing it.
+    SATURATED = "pairwise contribution saturates the accumulator"
+    TOTAL = "accumulated total overflows the declared exponent"
+
+
+class NonFiniteForceError(ArithmeticError):
+    """A pairwise force contribution is NaN or infinite.
+
+    Non-finite input (a NaN or infinite velocity or mass) cannot be
+    fixed by a larger block exponent, so the host raises this on the
+    first attempt instead of retrying.  ``rows`` are the positions in
+    the i-block of every particle with a non-finite contribution.
+    """
+
+    def __init__(self, rows) -> None:
+        self.rows = np.asarray(rows, dtype=np.int64)
+        shown = ", ".join(str(r) for r in self.rows[:8])
+        if self.rows.size > 8:
+            shown += ", ..."
+        super().__init__(
+            f"non-finite pairwise force contribution on i-block rows [{shown}]"
+        )
+
+    def __reduce__(self):
+        return type(self), (self.rows,)
+
 
 def suggest_exponent(estimate: np.ndarray) -> np.ndarray:
     """Initial block-exponent guess from a magnitude estimate.
@@ -90,7 +117,7 @@ class BlockFloatAccumulator:
         q = np.ldexp(1.0, (self.exponents - FRAC_BITS).astype(np.int64))
         scaled = c / q
         if np.any(np.abs(scaled) >= 2.0**62):
-            raise BlockFloatOverflow("pairwise contribution saturates the accumulator")
+            raise BlockFloatOverflow(BlockFloatOverflow.SATURATED)
         return np.rint(scaled).astype(np.int64)
 
     def reduce(self, quantized: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -121,7 +148,7 @@ class BlockFloatAccumulator:
         total_obj = np.asarray(total, dtype=object)
         limit = 2**63
         if total_obj.size and bool(np.any(np.abs(total_obj) >= limit)):
-            raise BlockFloatOverflow("accumulated total overflows the declared exponent")
+            raise BlockFloatOverflow(BlockFloatOverflow.TOTAL)
         as_float = total_obj.astype(np.float64)
         q = np.ldexp(1.0, (self.exponents - FRAC_BITS).astype(np.int64))
         return np.asarray(as_float * q)
@@ -149,7 +176,7 @@ class BlockFloatAccumulator:
         half = np.int64(2**31)
         bad = (hi_tot >= half) | (hi_tot < -half) | ((hi_tot == -half) & (lo_rem == 0))
         if np.any(bad):
-            raise BlockFloatOverflow("accumulated total overflows the declared exponent")
+            raise BlockFloatOverflow(BlockFloatOverflow.TOTAL)
         total = hi_tot * np.int64(2**32) + lo_rem
         q = np.ldexp(1.0, (self.exponents - FRAC_BITS).astype(np.int64))
         return np.asarray(total.astype(np.float64) * q)

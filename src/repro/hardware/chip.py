@@ -21,10 +21,10 @@ import numpy as np
 
 from ..config import ChipConfig
 from ..telemetry import get_tracer
-from .blockfloat import BlockFloatAccumulator
+from .blockfloat import BlockFloatAccumulator, NonFiniteForceError
 from .fixedpoint import exact_int_sum
 from .memory import JParticleMemory
-from .pipeline import PipelineFormats, pairwise_contributions
+from .pipeline import PipelineFormats, nonfinite_rows, pairwise_contributions
 from .predictor_unit import predict_memory
 
 
@@ -175,6 +175,9 @@ class GrapeChip:
                 self.formats,
                 self_mask=self_mask,
             )
+            bad = nonfinite_rows(acc_c, jerk_c, pot_c)
+            if bad.size:
+                raise NonFiniteForceError(bad + lo)
             # quantise per pair under the (n_i,)-shaped exponents
             e_a = exponents.acc[lo:hi, None, None]
             e_j = exponents.jerk[lo:hi, None, None]
@@ -197,6 +200,28 @@ class GrapeChip:
             tracer.count("grape.cycles", self.cycles - cycles_before)
 
         return PartialForce(acc=acc_out, jerk=jerk_out, pot=pot_out)
+
+    def nonfinite_rows(
+        self,
+        xi_q: np.ndarray,
+        vi: np.ndarray,
+        t: float | None = None,
+        i_index: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Rows of the i-block with a NaN or infinite contribution from
+        this chip's memory (a scan only: no quantisation, no cycles)."""
+        if self.memory.n == 0:
+            return np.zeros(0, dtype=np.int64)
+        xj_q, vj = self.predicted_j(t)
+        self_mask = (
+            i_index[:, None] == self.memory.host_index[None, :]
+            if i_index is not None
+            else None
+        )
+        return nonfinite_rows(*pairwise_contributions(
+            xi_q, vi, xj_q, vj, self.memory.mass, self._eps2, self.formats,
+            self_mask=self_mask,
+        ))
 
     # The softening register is set per force call by the owner system.
     _eps2: float = 0.0

@@ -99,31 +99,42 @@ class JParticleMemory:
         pos_q: np.ndarray,
         vel: np.ndarray,
         mass: np.ndarray,
+        zeros: np.ndarray,
     ) -> None:
         """Load storage-format data quantised/rounded by the caller.
 
         The host library quantises the *whole* j-set once and stripes
         views of the result into the chip memories; since the storage
         formats are elementwise, the contents are identical to per-chip
-        :meth:`load` calls.  Higher derivatives and ``t0`` reset to
-        zero (pure force-evaluation mode), exactly as :meth:`load`
-        defaults them.
+        :meth:`load` calls.  Higher derivatives and ``t0`` are zero
+        (pure force-evaluation mode), exactly as :meth:`load` defaults
+        them: views of ``zeros``, a read-only zero block of at least
+        ``(n, 3)`` (:func:`read_only_zeros`) the caller shares between
+        memories.  The arrays — int64 ``host_index`` and ``pos_q``,
+        float64 ``vel`` and ``mass`` — are kept as given, not copied:
+        nothing writes a memory's arrays in place; a reload replaces
+        them.
         """
         n = pos_q.shape[0]
         if n > self.capacity:
             raise ValueError(f"{n} particles exceed memory capacity {self.capacity}")
         self.n = n
-        self.host_index = np.asarray(host_index, dtype=np.int64).copy()
-        self.pos_q = np.asarray(pos_q, dtype=np.int64)
-        self.vel = np.asarray(vel, dtype=np.float64)
-        self.mass = np.asarray(mass, dtype=np.float64)
-        zeros = np.zeros((n, 3))
-        self.acc = zeros
-        self.jerk = zeros.copy()
-        self.snap = zeros.copy()
-        self.t0 = np.zeros(n)
+        self.host_index = host_index
+        self.pos_q = pos_q
+        self.vel = vel
+        self.mass = mass
+        self.acc = self.jerk = self.snap = zeros[:n]
+        self.t0 = zeros[:n, 0]
         self.version += 1
         get_tracer().count("grape.jmem_writes", n)
 
     def __len__(self) -> int:
         return self.n
+
+
+def read_only_zeros(n: int) -> np.ndarray:
+    """An (n, 3) float64 zero block that raises on any write, for
+    memories and gathered j-sets to share as their zero derivatives."""
+    zeros = np.zeros((n, 3))
+    zeros.flags.writeable = False
+    return zeros

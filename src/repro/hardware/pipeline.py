@@ -112,3 +112,17 @@ def pairwise_contributions(
 
     pair = formats.pair
     return pair.round(acc_c), pair.round(jerk_c), pair.round(pot_c)
+
+
+def nonfinite_rows(
+    acc_c: np.ndarray, jerk_c: np.ndarray, pot_c: np.ndarray
+) -> np.ndarray:
+    """Rows (i-particles) of a contribution tile holding a NaN or an
+    infinity — checked before quantisation, where a NaN would otherwise
+    cast to an arbitrary integer and be summed."""
+    finite = (
+        np.isfinite(acc_c).all(axis=(1, 2))
+        & np.isfinite(jerk_c).all(axis=(1, 2))
+        & np.isfinite(pot_c).all(axis=1)
+    )
+    return np.flatnonzero(~finite)

@@ -29,10 +29,16 @@ Two datapaths compute that same force:
     force depends only on the *multiset* of quantised pairwise
     contributions, all chip memories are gathered into one contiguous
     j-array (once per jmem load) and the whole (n_i, n_j) tile is
-    evaluated and carry-save-reduced in native int64 numpy
-    (:mod:`repro.hardware.batched`).  Bit-identical to the faithful
-    path — enforced by the emulation-mode property tests — at an
-    order of magnitude less host time.
+    evaluated and carry-save-reduced in native int64
+    (:mod:`repro.hardware.batched`), in compiled C when the local
+    compiler built it (:mod:`repro.hardware.compiled`), else in numpy.
+    Bit-identical to the faithful path — enforced by the emulation-mode
+    and compiled-tile property tests — at an order of magnitude or two
+    less host time.
+
+Non-finite input (a NaN or infinite velocity or mass) raises
+:class:`~repro.hardware.blockfloat.NonFiniteForceError` on the first
+attempt in every datapath, instead of exhausting the exponent retries.
 """
 
 from __future__ import annotations
@@ -47,14 +53,20 @@ from ..forces.kernels import ForceJerkResult
 from ..telemetry import T_PIPE, get_tracer
 from .batched import (
     GatheredJSet,
-    batched_partial_lanes,
+    batched_forces,
     gather_chips,
     memory_version,
     predict_gather,
 )
-from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow, suggest_exponent
+from .blockfloat import (
+    BlockFloatAccumulator,
+    BlockFloatOverflow,
+    NonFiniteForceError,
+    suggest_exponent,
+)
 from .board import ProcessorBoard
 from .chip import BlockExponents
+from .memory import read_only_zeros
 from .pipeline import PipelineFormats
 from .summation import reduce_partials
 
@@ -193,24 +205,26 @@ class Grape6Emulator:
         vel = self.formats.word.round(v)
         mass = self.formats.word.round(m)
         host_index = np.arange(n, dtype=np.int64)
+        # one read-only zero block serves every memory's and the
+        # gather's derivatives and t0
+        zeros = read_only_zeros(n)
         sizes = []
         for c, chip in enumerate(self._all_chips):
             chip.memory.load_preformatted(
-                host_index[c::k], pos_q[c::k], vel[c::k], mass[c::k]
+                host_index[c::k], pos_q[c::k], vel[c::k], mass[c::k], zeros
             )
-            sizes.append(pos_q[c::k].shape[0])
+            sizes.append(chip.memory.n)
         # the quantised full arrays double as the gathered j-set — the
         # batched datapath needs no per-call concatenation at all
-        zeros = np.zeros((n, 3))
         self._gather = GatheredJSet(
             pos_q=pos_q,
             vel=vel,
             mass=mass,
             host_index=host_index,
             acc=zeros,
-            jerk=zeros.copy(),
-            snap=zeros.copy(),
-            t0=np.zeros(n),
+            jerk=zeros,
+            snap=zeros,
+            t0=zeros[:, 0],
             chip_sizes=tuple(sizes),
             version=memory_version(self._all_chips),
         )
@@ -304,10 +318,22 @@ class Grape6Emulator:
             chip._eps2 == self.eps2 for chip in self._all_chips
         ):
             return self._evaluate_batched(xi_q, vi_w, exponents, t, i_index)
-        partial = reduce_partials(
-            board.partial_forces(xi_q, vi_w, exponents, t=t, i_index=i_index)
-            for board in self.boards
-        )
+        try:
+            partial = reduce_partials(
+                board.partial_forces(xi_q, vi_w, exponents, t=t, i_index=i_index)
+                for board in self.boards
+            )
+        except (BlockFloatOverflow, NonFiniteForceError):
+            # a chip stops at its first failing pass; like the batched
+            # tile, name every non-finite row of the machine, and let a
+            # non-finite contribution anywhere win over saturation
+            rows = np.unique(np.concatenate([
+                chip.nonfinite_rows(xi_q, vi_w, t=t, i_index=i_index)
+                for chip in self._all_chips
+            ]))
+            if rows.size:
+                raise NonFiniteForceError(rows) from None
+            raise
         return self._to_float(partial, exponents)
 
     def _evaluate_batched(
@@ -323,7 +349,18 @@ class Grape6Emulator:
             xj_q, vj = gather.pos_q, gather.vel
         else:
             xj_q, vj = predict_gather(gather, self.formats, t)
-        lanes = batched_partial_lanes(
+        n_i = xi_q.shape[0]
+
+        def streamed() -> None:
+            # the pipelines have streamed: charge each chip the cycles
+            # the faithful schedule would have cost it (also when the
+            # *total* overflows and the host retries — the hardware
+            # streams the whole memory before the saturation flag is
+            # read)
+            for chip, n_j_chip in zip(self._all_chips, gather.chip_sizes):
+                chip.charge_block(n_i, n_j_chip)
+
+        return batched_forces(
             xi_q,
             vi_w,
             xj_q,
@@ -334,24 +371,8 @@ class Grape6Emulator:
             self.eps2,
             self.formats,
             i_index=i_index,
+            streamed=streamed,
         )
-        # the pipelines have streamed: charge each chip the cycles the
-        # faithful schedule would have cost it (also when the *total*
-        # overflows below and the host retries — the hardware streams
-        # the whole memory before the saturation flag is read)
-        n_i = xi_q.shape[0]
-        for chip, n_j_chip in zip(self._all_chips, gather.chip_sizes):
-            chip.charge_block(n_i, n_j_chip)
-        acc = BlockFloatAccumulator(exponents.acc[:, None]).to_float_lanes(
-            lanes.acc_hi, lanes.acc_lo
-        )
-        jerk = BlockFloatAccumulator(exponents.jerk[:, None]).to_float_lanes(
-            lanes.jerk_hi, lanes.jerk_lo
-        )
-        pot = BlockFloatAccumulator(exponents.pot).to_float_lanes(
-            lanes.pot_hi, lanes.pot_lo
-        )
-        return acc, jerk, pot
 
     def _gathered(self) -> GatheredJSet:
         """The contiguous j-set, rebuilt only when a memory changed.

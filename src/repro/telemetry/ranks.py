@@ -409,8 +409,10 @@ class RankLedger:
             "busy_us": self.busy_total_us,
             "idle_us": self.idle_total_us,
             "cpu_us": self.cpu_total_us,
+            # a span of a few subnormal microseconds overflows the
+            # ratio: count it as no span, like a zero one
             "utilisation": (
-                self.busy_total_us / self.rank_span_us
+                finite(self.busy_total_us / self.rank_span_us)
                 if self.rank_span_us > 0 else 0.0
             ),
             "publish_bytes": self.publish_bytes,

@@ -32,10 +32,12 @@ from repro.telemetry import SOURCE_SPAN, T_HOST, T_PIPE, validate_timeline
 
 @pytest.fixture(scope="module")
 def recording():
+    """One recording long enough to sample: the micro t_end (1/32) ran
+    for 5-20 ticks of 2 ms, too few for a share or a "both phases
+    seen" check to mean anything; t_end = 1/8 gives ~40-70 ticks."""
     bench = REGISTRY.get("blockstep_phase_breakdown")
-    return flight_record_benchmark(
-        bench, bench.params_for("micro"), interval_s=0.002
-    )
+    params = dict(bench.params_for("micro"), t_end=1.0 / 8.0)
+    return flight_record_benchmark(bench, params, interval_s=0.002)
 
 
 class TestFlightRecording:
@@ -44,7 +46,7 @@ class TestFlightRecording:
         hot paths, so nearly every sample is span-attributed; >= 80%
         is the acceptance floor."""
         report = recording.sampler_report
-        assert report.n_samples >= 5
+        assert report.n_samples >= 20
         assert report.span_fraction >= 0.8
         assert report.attributed_fraction >= 0.8
 

@@ -188,6 +188,17 @@ class TestRankLedger:
         assert rec.backend == "mixed"
         assert ledger.backends == {"thread", "process"}
 
+    def test_subnormal_span_keeps_utilisation_finite(self):
+        """A span of a few subnormal microseconds under a whole busy
+        microsecond overflowed busy/span to inf, which the section
+        validator rejects; it counts as no span, like a zero one."""
+        ledger = RankLedger()
+        ledger.observe(report([sample(0, 1.0)], span=2.2250738585e-313))
+        ledger.advance()
+        doc = ledger.summary()
+        assert doc["utilisation"] == 0.0
+        validate_rank_section(doc)
+
     def test_ranks_from_reports_replay(self):
         reports = [report([sample(0, 60.0), sample(1, 40.0)], span=100.0)]
         ledger = ranks_from_reports(reports)
